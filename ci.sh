@@ -15,6 +15,9 @@ cargo build --release --workspace
 echo "==> cargo test (tier 1)"
 cargo test -q --workspace
 
+echo "==> perf_ledger self-tests (the repository benchmark, tiny scale)"
+cargo test --offline -q --manifest-path perf_ledger/Cargo.toml
+
 echo "==> hot-path equivalence suite runs in the default pass"
 eq_prop="$(cargo test -q --test proptest_invariants -- --list)"
 echo "$eq_prop" | grep -q "equivalence_hot_path_primitives_match_reference"
@@ -78,18 +81,6 @@ grep -q '"schema": "wsan.gateway_bench/1"' BENCH_gateway.json
 cp "$gwb_dir/BENCH_gateway.json" "$fresh_bench_dir/"
 rm -rf "$gwb_dir"
 
-echo "==> shard bench smoke (shard_bench schema + committed snapshot)"
-shb_dir="$(mktemp -d)"
-WSAN_RESULTS_DIR="$shb_dir" ./target/release/shard_bench --quick
-test -s "$shb_dir/BENCH_shard.json"
-grep -q '"schema": "wsan.shard_bench/1"' "$shb_dir/BENCH_shard.json"
-grep -q '"speedup_vs_single"' "$shb_dir/BENCH_shard.json"
-grep -q '"median_schedule_ns"' "$shb_dir/BENCH_shard.json"
-# the committed snapshot must track the same schema
-grep -q '"schema": "wsan.shard_bench/1"' BENCH_shard.json
-cp "$shb_dir/BENCH_shard.json" "$fresh_bench_dir/"
-rm -rf "$shb_dir"
-
 echo "==> graph bench smoke (graph_bench schema + committed snapshot)"
 gb_dir="$(mktemp -d)"
 WSAN_RESULTS_DIR="$gb_dir" ./target/release/graph_bench --quick
@@ -113,7 +104,7 @@ grep -q "validated" "$shard_dir/shard.log"
 grep -q '"shards": 2' "$shard_dir/shard.json"
 rm -rf "$shard_dir"
 
-echo "==> large-plant shard smoke (5k nodes on the capped-distance path, wall-clock guard)"
+echo "==> large-plant shard smoke (5k/10k nodes on the capped-distance path, digest-pinned)"
 big_dir="$(mktemp -d)"
 big_start="$(date +%s)"
 ./target/release/wsan shard --nodes 5000 --shards 8 \
@@ -121,10 +112,16 @@ big_start="$(date +%s)"
 big_elapsed="$(( $(date +%s) - big_start ))"
 cat "$big_dir/shard.log"
 grep -q "validated" "$big_dir/shard.log"
+grep -q "digest 2e2cfb97b8fc1adf" "$big_dir/shard.log"
 grep -q '"shards": 8' "$big_dir/shard.json"
 # the whole plan+schedule+stitch+validate pipeline must stay interactive;
 # a dense n² hop matrix sneaking back in would blow this budget wide open
 test "$big_elapsed" -le 120
+./target/release/wsan shard --nodes 10000 --shards 8 \
+    --flows-per-shard 3 --seed 42 > "$big_dir/shard10k.log"
+cat "$big_dir/shard10k.log"
+grep -q "validated" "$big_dir/shard10k.log"
+grep -q "digest fc5142819e0905c3" "$big_dir/shard10k.log"
 rm -rf "$big_dir"
 
 echo "==> bench regression gate (advisory: quick-mode timings are noisy)"

@@ -26,16 +26,12 @@
 use serde::value::Value;
 use std::path::Path;
 use std::process::ExitCode;
+use wsan_bench::harness::flag_value;
 use wsan_bench::{run_main, BenchError};
 
 /// The tracked reports the gate knows about.
-const REPORTS: &[&str] = &[
-    "BENCH_scheduler.json",
-    "BENCH_sim.json",
-    "BENCH_gateway.json",
-    "BENCH_shard.json",
-    "BENCH_graph.json",
-];
+const REPORTS: &[&str] =
+    &["BENCH_scheduler.json", "BENCH_sim.json", "BENCH_gateway.json", "BENCH_graph.json"];
 
 struct Options {
     fresh: std::path::PathBuf,
@@ -53,18 +49,12 @@ fn parse_args() -> Result<Options, BenchError> {
         min_ns: 10_000.0,
     };
     let mut args = std::env::args().skip(1);
-    fn value<T: std::str::FromStr>(flag: &str, next: Option<String>) -> Result<T, BenchError> {
-        let raw =
-            next.ok_or_else(|| BenchError::Usage(format!("{flag} needs a value; {USAGE}")))?;
-        raw.parse()
-            .map_err(|_| BenchError::Usage(format!("{flag} got malformed value '{raw}'; {USAGE}")))
-    }
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--fresh" => opts.fresh = value("--fresh", args.next())?,
-            "--baseline" => opts.baseline = value("--baseline", args.next())?,
-            "--tolerance" => opts.tolerance = value("--tolerance", args.next())?,
-            "--min-ns" => opts.min_ns = value("--min-ns", args.next())?,
+            "--fresh" => opts.fresh = flag_value("--fresh", args.next(), USAGE)?,
+            "--baseline" => opts.baseline = flag_value("--baseline", args.next(), USAGE)?,
+            "--tolerance" => opts.tolerance = flag_value("--tolerance", args.next(), USAGE)?,
+            "--min-ns" => opts.min_ns = flag_value("--min-ns", args.next(), USAGE)?,
             other => return Err(BenchError::Usage(format!("unknown argument '{other}'; {USAGE}"))),
         }
     }

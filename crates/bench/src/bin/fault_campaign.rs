@@ -18,18 +18,16 @@
 //! ```
 
 use std::process::ExitCode;
+use wsan_bench::harness::timed;
 use wsan_bench::{results_dir, run_main, write_err, RunOptions};
 use wsan_expr::campaigns;
 use wsan_expr::table;
-use wsan_obs::PhaseProfiler;
 
 fn main() -> ExitCode {
     run_main(|| {
         let opts = RunOptions::try_parse(1)?;
-        let mut profiler = PhaseProfiler::new();
-        let results = profiler.time("fault campaign", || {
-            campaigns::faults(&opts.sweep(), &opts.campaign("fault_campaign"))
-        });
+        let (campaign_ns, results) =
+            timed(|| campaigns::faults(&opts.sweep(), &opts.campaign("fault_campaign")));
         let (results, summary) = results?;
         for result in &results {
             println!(
@@ -56,16 +54,19 @@ fn main() -> ExitCode {
             print!("{}", table::render(&headers, &rows));
         }
         let path = results_dir().join("fault_campaign.json");
-        profiler.time("write results", || {
-            table::write_json(&path, &results).map_err(write_err(&path))
-        })?;
+        let (write_ns, written) = timed(|| table::write_json(&path, &results));
+        written.map_err(write_err(&path))?;
         println!(
             "\nresults written under {} ({} points executed, {} resumed)",
             results_dir().display(),
             summary.executed,
             summary.resumed
         );
-        eprint!("{}", profiler.finish().render());
+        eprintln!(
+            "phase timings: fault campaign {:.3}s, write results {:.3}s",
+            campaign_ns as f64 / 1e9,
+            write_ns as f64 / 1e9
+        );
         Ok(())
     })
 }

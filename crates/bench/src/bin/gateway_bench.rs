@@ -18,8 +18,8 @@
 
 use serde::Serialize;
 use std::process::ExitCode;
-use std::time::Instant;
-use wsan_bench::{results_dir, run_main, write_err, BenchError};
+use wsan_bench::harness::{median_ns, timed, BenchArgs};
+use wsan_bench::{run_main, BenchError};
 use wsan_core::gateway::{FlowSpec, GatewayConfig, GatewayState};
 use wsan_core::{NetworkModel, ReuseConservatively, Scheduler};
 use wsan_flow::Period;
@@ -57,50 +57,6 @@ struct Report {
     scenarios: Vec<ScenarioResult>,
 }
 
-struct Options {
-    iters: usize,
-    seed: u64,
-    out: Option<std::path::PathBuf>,
-}
-
-fn parse_args() -> Result<Options, BenchError> {
-    const USAGE: &str = "supported: --iters N --seed S --quick --out PATH";
-    let mut opts = Options { iters: 10, seed: 42, out: None };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--iters" => {
-                let raw = args
-                    .next()
-                    .ok_or_else(|| BenchError::Usage(format!("--iters needs a value; {USAGE}")))?;
-                opts.iters = raw.parse().map_err(|_| {
-                    BenchError::Usage(format!("--iters got malformed value '{raw}'; {USAGE}"))
-                })?;
-            }
-            "--seed" => {
-                let raw = args
-                    .next()
-                    .ok_or_else(|| BenchError::Usage(format!("--seed needs a value; {USAGE}")))?;
-                opts.seed = raw.parse().map_err(|_| {
-                    BenchError::Usage(format!("--seed got malformed value '{raw}'; {USAGE}"))
-                })?;
-            }
-            "--out" => {
-                opts.out =
-                    Some(std::path::PathBuf::from(args.next().ok_or_else(|| {
-                        BenchError::Usage(format!("--out needs a value; {USAGE}"))
-                    })?));
-            }
-            "--quick" => opts.iters = opts.iters.min(3),
-            other => return Err(BenchError::Usage(format!("unknown argument {other}; {USAGE}"))),
-        }
-    }
-    if opts.iters == 0 {
-        return Err(BenchError::Usage(format!("--iters must be at least 1; {USAGE}")));
-    }
-    Ok(opts)
-}
-
 /// Deterministic admission specs: shortest-path routes between arithmetic
 /// node pairs, all at the same 128-slot period (so the hyperperiod never
 /// changes) with the given relative deadline.
@@ -130,14 +86,9 @@ fn fresh_gateway(model: &NetworkModel, rho_t: u32) -> GatewayState {
     )
 }
 
-fn median(samples: &mut [u64]) -> u64 {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
 fn main() -> ExitCode {
     run_main(|| {
-        let opts = parse_args()?;
+        let opts = BenchArgs::try_parse(10, 3)?;
         let topo = testbeds::indriya(opts.seed);
         let channels = ChannelId::range(11, 14).expect("valid range");
         let comm = topo.comm_graph(&channels, Prr::new(0.9).expect("valid"));
@@ -201,24 +152,24 @@ fn main() -> ExitCode {
                 let mut full_ns = 0u64;
                 let mut admitted = 0u64;
                 for (j, spec) in specs[preload..].iter().enumerate() {
-                    let started = Instant::now();
-                    let outcome = gw.add_flow(&format!("a{j}"), spec.clone());
-                    let elapsed = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+                    let (elapsed, outcome) = timed(|| gw.add_flow(&format!("a{j}"), spec.clone()));
                     if outcome.is_err() {
                         continue; // infeasible newcomer: not an admission
                     }
-                    delta_ns += elapsed.max(1);
+                    delta_ns += elapsed;
                     admitted += 1;
                     // the comparator: recompute the identical flow set from
                     // scratch, as a gateway without the delta path must
                     let flows = gw.flow_set();
-                    let started = Instant::now();
-                    let full = oracle
-                        .schedule(&flows, gw.model())
-                        .map_err(|e| BenchError::Run(format!("full recompute failed: {e}")))?;
-                    full_ns +=
-                        (started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64).max(1);
-                    assert_eq!(full, *gw.schedule(), "delta result diverged from recompute");
+                    let (elapsed, full) = timed(|| oracle.schedule(&flows, gw.model()));
+                    let full =
+                        full.map_err(|e| BenchError::Run(format!("full recompute failed: {e}")))?;
+                    full_ns += elapsed;
+                    if full != *gw.schedule() {
+                        return Err(BenchError::Run(format!(
+                            "scenario {name}: delta result diverged from recompute"
+                        )));
+                    }
                 }
                 if admitted == 0 {
                     return Err(BenchError::Run(format!("scenario {name}: nothing admitted")));
@@ -227,8 +178,8 @@ fn main() -> ExitCode {
                 delta_samples.push(delta_ns);
                 full_samples.push(full_ns);
             }
-            let median_delta_ns = median(&mut delta_samples);
-            let median_full_ns = median(&mut full_samples);
+            let median_delta_ns = median_ns(&mut delta_samples);
+            let median_full_ns = median_ns(&mut full_samples);
             let delta_rate = timed_admissions as f64 / (median_delta_ns as f64 / 1e9);
             let full_rate = timed_admissions as f64 / (median_full_ns as f64 / 1e9);
             let speedup = median_full_ns as f64 / median_delta_ns as f64;
@@ -247,16 +198,7 @@ fn main() -> ExitCode {
             });
         }
 
-        let out = opts.out.unwrap_or_else(|| results_dir().join("BENCH_gateway.json"));
-        if let Some(parent) = out.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent).map_err(write_err(parent))?;
-            }
-        }
-        let json = serde_json::to_string_pretty(&report)
-            .map_err(|e| BenchError::Run(format!("cannot serialise report: {e}")))?;
-        std::fs::write(&out, json).map_err(write_err(&out))?;
-        println!("report written to {}", out.display());
+        opts.write_report("BENCH_gateway.json", &report)?;
         Ok(())
     })
 }

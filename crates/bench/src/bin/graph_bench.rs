@@ -17,21 +17,24 @@
 //!
 //! * `--iters N` — timed repetitions per variant (default 5),
 //! * `--seed S` — plant seed (default 42),
-//! * `--nodes N` — target plant size (default 1200),
-//! * `--jobs N` — workers for the parallel variant (default 4),
 //! * `--quick` — caps iterations at 2 for a smoke pass,
 //! * `--out PATH` — output path (default `results/BENCH_graph.json`).
 
 use serde::Serialize;
-use std::hint::black_box;
 use std::process::ExitCode;
-use std::time::Instant;
-use wsan_bench::{results_dir, run_main, write_err, BenchError};
+use wsan_bench::harness::{time_runs, BenchArgs};
+use wsan_bench::{run_main, BenchError};
 use wsan_net::plants::{generate, PlantConfig};
 use wsan_net::{ChannelId, NodeId, UNREACHABLE};
 
 /// The file-format tag checked by ci.sh's smoke step.
 const SCHEMA: &str = "wsan.graph_bench/1";
+
+/// Target plant size: the 1,200-node city the committed snapshot tracks.
+const NODES: usize = 1200;
+
+/// Workers for the parallel capped build.
+const JOBS: usize = 4;
 
 #[derive(Debug, Serialize)]
 struct Report {
@@ -73,71 +76,10 @@ struct Report {
     parallel_identical: bool,
 }
 
-struct Options {
-    iters: usize,
-    seed: u64,
-    nodes: usize,
-    jobs: usize,
-    out: Option<std::path::PathBuf>,
-}
-
-fn parse_args() -> Result<Options, BenchError> {
-    const USAGE: &str = "supported: --iters N --seed S --nodes N --jobs N --quick --out PATH";
-    let mut opts = Options { iters: 5, seed: 42, nodes: 1200, jobs: 4, out: None };
-    let mut args = std::env::args().skip(1);
-    fn value<T: std::str::FromStr>(flag: &str, next: Option<String>) -> Result<T, BenchError> {
-        let raw =
-            next.ok_or_else(|| BenchError::Usage(format!("{flag} needs a value; {USAGE}")))?;
-        raw.parse()
-            .map_err(|_| BenchError::Usage(format!("{flag} got malformed value '{raw}'; {USAGE}")))
-    }
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--iters" => opts.iters = value("--iters", args.next())?,
-            "--seed" => opts.seed = value("--seed", args.next())?,
-            "--nodes" => opts.nodes = value("--nodes", args.next())?,
-            "--jobs" => opts.jobs = value("--jobs", args.next())?,
-            "--out" => {
-                opts.out =
-                    Some(std::path::PathBuf::from(args.next().ok_or_else(|| {
-                        BenchError::Usage(format!("--out needs a value; {USAGE}"))
-                    })?));
-            }
-            "--quick" => opts.iters = opts.iters.min(2),
-            other => return Err(BenchError::Usage(format!("unknown argument {other}; {USAGE}"))),
-        }
-    }
-    if opts.iters == 0 {
-        return Err(BenchError::Usage(format!("--iters must be at least 1; {USAGE}")));
-    }
-    if opts.jobs == 0 {
-        return Err(BenchError::Usage(format!("--jobs must be at least 1; {USAGE}")));
-    }
-    Ok(opts)
-}
-
-fn median(samples: &mut [u64]) -> u64 {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
-/// Times `build` over `iters` runs and returns (median ns, last result).
-fn time_builds<T>(iters: usize, mut build: impl FnMut() -> T) -> (u64, T) {
-    let mut samples = Vec::with_capacity(iters);
-    let mut last = None;
-    for _ in 0..iters {
-        let started = Instant::now();
-        let built = black_box(build());
-        samples.push(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX).max(1));
-        last = Some(built);
-    }
-    (median(&mut samples), last.expect("iters >= 1"))
-}
-
 fn main() -> ExitCode {
     run_main(|| {
-        let opts = parse_args()?;
-        let plant_cfg = PlantConfig::city(format!("city-{}", opts.nodes), opts.nodes);
+        let opts = BenchArgs::try_parse(5, 2)?;
+        let plant_cfg = PlantConfig::city(format!("city-{NODES}"), NODES);
         let plant = generate(&plant_cfg, opts.seed);
         let channels = ChannelId::all();
         let reuse = plant.reuse_graph(&channels);
@@ -150,11 +92,12 @@ fn main() -> ExitCode {
             reuse.edge_count()
         );
 
-        let (median_dense_build_ns, dense) = time_builds(opts.iters, || reuse.hop_matrix());
+        let (median_dense_build_ns, dense) =
+            time_runs("dense build", opts.iters, || reuse.hop_matrix())?;
         let (median_capped_jobs1_build_ns, capped_seq) =
-            time_builds(opts.iters, || reuse.exact_hops(1));
+            time_runs("capped build, jobs=1", opts.iters, || reuse.exact_hops(1))?;
         let (median_capped_par_build_ns, capped_par) =
-            time_builds(opts.iters, || reuse.exact_hops(opts.jobs));
+            time_runs("capped build, jobs=N", opts.iters, || reuse.exact_hops(JOBS))?;
 
         // Correctness gates: the capped table must be schedule-identical to
         // the dense matrix (DESIGN.md §16) and independent of `jobs`.
@@ -193,10 +136,10 @@ fn main() -> ExitCode {
             schema: SCHEMA.to_string(),
             iters: opts.iters as u64,
             seed: opts.seed,
-            target_nodes: opts.nodes as u64,
+            target_nodes: NODES as u64,
             nodes: n as u64,
             edges: reuse.edge_count() as u64,
-            jobs: opts.jobs as u64,
+            jobs: JOBS as u64,
             diameter: u64::from(dense.diameter()),
             cap: u64::from(cap),
             dense_bytes,
@@ -228,20 +171,11 @@ fn main() -> ExitCode {
             "  capped  {:>9.2} ms  {:>11} bytes  (jobs={}, {:.1}x vs dense)",
             median_capped_par_build_ns as f64 / 1e6,
             capped_bytes,
-            opts.jobs,
+            JOBS,
             report.speedup_parallel_vs_dense,
         );
 
-        let out = opts.out.unwrap_or_else(|| results_dir().join("BENCH_graph.json"));
-        if let Some(parent) = out.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent).map_err(write_err(parent))?;
-            }
-        }
-        let json = serde_json::to_string_pretty(&report)
-            .map_err(|e| BenchError::Run(format!("cannot serialise report: {e}")))?;
-        std::fs::write(&out, json).map_err(write_err(&out))?;
-        println!("report written to {}", out.display());
+        opts.write_report("BENCH_graph.json", &report)?;
         Ok(())
     })
 }

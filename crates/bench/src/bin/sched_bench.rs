@@ -5,7 +5,7 @@
 //! of [`wsan_bench::sched`], then writes `BENCH_scheduler.json` (median
 //! ns/placement, schedules/sec, RC speedup vs. reference) so the perf
 //! trajectory is comparable across PRs. Unlike the criterion bench this
-//! uses hand-rolled `Instant` timing, so it runs as an ordinary binary:
+//! times with [`wsan_bench::harness`], so it runs as an ordinary binary:
 //!
 //! ```sh
 //! cargo run --release -p wsan-bench --bin sched_bench [-- --iters 30 --quick --out PATH]
@@ -18,9 +18,9 @@
 
 use serde::Serialize;
 use std::process::ExitCode;
-use std::time::Instant;
-use wsan_bench::sched::{contenders, median_ns, scenarios};
-use wsan_bench::{results_dir, run_main, write_err, BenchError};
+use wsan_bench::harness::{time_runs, BenchArgs};
+use wsan_bench::sched::{contenders, scenarios};
+use wsan_bench::{run_main, BenchError};
 
 /// The file-format tag checked by ci.sh's smoke step.
 const SCHEMA: &str = "wsan.sched_bench/1";
@@ -55,45 +55,9 @@ struct Report {
     scenarios: Vec<ScenarioResult>,
 }
 
-struct Options {
-    iters: usize,
-    seed: u64,
-    out: Option<std::path::PathBuf>,
-}
-
-fn parse_args() -> Result<Options, BenchError> {
-    const USAGE: &str = "supported: --iters N --seed S --quick --out PATH";
-    let mut opts = Options { iters: 30, seed: 42, out: None };
-    let mut args = std::env::args().skip(1);
-    fn value<T: std::str::FromStr>(flag: &str, next: Option<String>) -> Result<T, BenchError> {
-        let raw =
-            next.ok_or_else(|| BenchError::Usage(format!("{flag} needs a value; {USAGE}")))?;
-        raw.parse()
-            .map_err(|_| BenchError::Usage(format!("{flag} got malformed value '{raw}'; {USAGE}")))
-    }
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--iters" => opts.iters = value("--iters", args.next())?,
-            "--seed" => opts.seed = value("--seed", args.next())?,
-            "--out" => {
-                opts.out =
-                    Some(std::path::PathBuf::from(args.next().ok_or_else(|| {
-                        BenchError::Usage(format!("--out needs a value; {USAGE}"))
-                    })?));
-            }
-            "--quick" => opts.iters = opts.iters.min(3),
-            other => return Err(BenchError::Usage(format!("unknown argument {other}; {USAGE}"))),
-        }
-    }
-    if opts.iters == 0 {
-        return Err(BenchError::Usage(format!("--iters must be at least 1; {USAGE}")));
-    }
-    Ok(opts)
-}
-
 fn main() -> ExitCode {
     run_main(|| {
-        let opts = parse_args()?;
+        let opts = BenchArgs::try_parse(30, 3)?;
         let mut report = Report {
             schema: SCHEMA.to_string(),
             iters: opts.iters as u64,
@@ -115,8 +79,8 @@ fn main() -> ExitCode {
             let mut rc_median: Option<u64> = None;
             let mut rc_ref_median: Option<u64> = None;
             for (name, scheduler) in contenders() {
-                // warm-up doubles as the schedulability probe
-                let Ok(schedule) = scheduler.schedule(&flows, &model) else {
+                // the probe: unschedulable contenders are recorded, not timed
+                if scheduler.schedule(&flows, &model).is_err() {
                     println!("  {:>15} {:>7}: unschedulable, skipped", sc.name, name);
                     result.algorithms.push(AlgoResult {
                         name: name.to_string(),
@@ -127,17 +91,12 @@ fn main() -> ExitCode {
                         schedules_per_sec: None,
                     });
                     continue;
-                };
-                let placements = schedule.entry_count() as u64;
-                let mut samples: Vec<u64> = Vec::with_capacity(opts.iters);
-                for _ in 0..opts.iters {
-                    let start = Instant::now();
-                    let built = scheduler.schedule(&flows, &model).expect("schedulable");
-                    let ns = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-                    assert_eq!(built.entry_count() as u64, placements);
-                    samples.push(ns.max(1));
                 }
-                let median = median_ns(&mut samples);
+                let (median, schedule) =
+                    time_runs(&format!("{} {name}", sc.name), opts.iters, || {
+                        scheduler.schedule(&flows, &model).expect("schedulable")
+                    })?;
+                let placements = schedule.entry_count() as u64;
                 if name == "RC" {
                     rc_median = Some(median);
                 } else if name == "RC-ref" {
@@ -167,14 +126,7 @@ fn main() -> ExitCode {
             }
             report.scenarios.push(result);
         }
-        let path = opts.out.unwrap_or_else(|| results_dir().join("BENCH_scheduler.json"));
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir).map_err(write_err(dir))?;
-        }
-        let json = serde_json::to_string_pretty(&report)
-            .map_err(|e| BenchError::Run(format!("serializing report: {e}")))?;
-        std::fs::write(&path, json + "\n").map_err(write_err(&path))?;
-        println!("report written to {}", path.display());
+        opts.write_report("BENCH_scheduler.json", &report)?;
         Ok(())
     })
 }

@@ -7,9 +7,9 @@
 //! skip-the-idle-slots design pays off), then writes `BENCH_sim.json`
 //! (median ns/run per engine, event-vs-stepper speedup, slot occupancy)
 //! so the perf trajectory is comparable across PRs. Both scenarios sit
-//! inside the draw-order contract of DESIGN.md §13, so every timed pair
-//! of runs is also asserted byte-identical — the benchmark doubles as an
-//! equivalence smoke. Hand-rolled `Instant` timing, ordinary binary:
+//! inside the draw-order contract of DESIGN.md §13, so the two engines'
+//! reports are also asserted byte-identical — the benchmark doubles as an
+//! equivalence smoke. Timed with [`wsan_bench::harness`], ordinary binary:
 //!
 //! ```sh
 //! cargo run --release -p wsan-bench --bin sim_bench [-- --iters 20 --quick --out PATH]
@@ -23,9 +23,8 @@
 use serde::Serialize;
 use std::collections::BTreeSet;
 use std::process::ExitCode;
-use std::time::Instant;
-use wsan_bench::sched::median_ns;
-use wsan_bench::{results_dir, run_main, write_err, BenchError};
+use wsan_bench::harness::{time_runs, BenchArgs};
+use wsan_bench::{run_main, BenchError};
 use wsan_core::{NetworkModel, NoReuse, Schedule, Scheduler};
 use wsan_flow::{
     priority, Flow, FlowId, FlowSet, FlowSetConfig, FlowSetGenerator, Period, PeriodRange,
@@ -53,8 +52,9 @@ struct ScenarioResult {
     /// Median-over-median speedup of the event engine vs. the stepper —
     /// the acceptance series (≥ 3x at ≤ 10% occupancy).
     speedup_events_vs_slots: f64,
-    /// Every timed pair of runs compared byte for byte (always true when
-    /// the binary exits zero; recorded so the JSON is self-describing).
+    /// Every timed run of both engines produced the same report, byte for
+    /// byte (always true when the binary exits zero; recorded so the JSON
+    /// is self-describing).
     reports_identical: bool,
 }
 
@@ -64,42 +64,6 @@ struct Report {
     iters: u64,
     seed: u64,
     scenarios: Vec<ScenarioResult>,
-}
-
-struct Options {
-    iters: usize,
-    seed: u64,
-    out: Option<std::path::PathBuf>,
-}
-
-fn parse_args() -> Result<Options, BenchError> {
-    const USAGE: &str = "supported: --iters N --seed S --quick --out PATH";
-    let mut opts = Options { iters: 20, seed: 42, out: None };
-    let mut args = std::env::args().skip(1);
-    fn value<T: std::str::FromStr>(flag: &str, next: Option<String>) -> Result<T, BenchError> {
-        let raw =
-            next.ok_or_else(|| BenchError::Usage(format!("{flag} needs a value; {USAGE}")))?;
-        raw.parse()
-            .map_err(|_| BenchError::Usage(format!("{flag} got malformed value '{raw}'; {USAGE}")))
-    }
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--iters" => opts.iters = value("--iters", args.next())?,
-            "--seed" => opts.seed = value("--seed", args.next())?,
-            "--out" => {
-                opts.out =
-                    Some(std::path::PathBuf::from(args.next().ok_or_else(|| {
-                        BenchError::Usage(format!("--out needs a value; {USAGE}"))
-                    })?));
-            }
-            "--quick" => opts.iters = opts.iters.min(3),
-            other => return Err(BenchError::Usage(format!("unknown argument {other}; {USAGE}"))),
-        }
-    }
-    if opts.iters == 0 {
-        return Err(BenchError::Usage(format!("--iters must be at least 1; {USAGE}")));
-    }
-    Ok(opts)
 }
 
 fn n(i: usize) -> NodeId {
@@ -184,23 +148,14 @@ fn time_scenario(
     let busy: BTreeSet<u32> = schedule.entries().iter().map(|e| e.slot).collect();
     let horizon = u64::from(schedule.horizon());
     let occupancy = busy.len() as f64 / horizon as f64;
-    let mut slot_samples: Vec<u64> = Vec::with_capacity(iters);
-    let mut event_samples: Vec<u64> = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let start = Instant::now();
-        let oracle = sim.run(cfg);
-        slot_samples.push(elapsed_ns(start));
-        let start = Instant::now();
-        let events = sim.run_events(cfg);
-        event_samples.push(elapsed_ns(start));
-        if oracle != events {
-            return Err(BenchError::Run(format!(
-                "{name}: engines diverged inside the draw-order contract"
-            )));
-        }
+    let (slots_median, oracle) = time_runs(&format!("{name} stepper"), iters, || sim.run(cfg))?;
+    let (events_median, events) =
+        time_runs(&format!("{name} events"), iters, || sim.run_events(cfg))?;
+    if oracle != events {
+        return Err(BenchError::Run(format!(
+            "{name}: engines diverged inside the draw-order contract"
+        )));
     }
-    let slots_median = median_ns(&mut slot_samples);
-    let events_median = median_ns(&mut event_samples);
     let speedup = slots_median as f64 / events_median as f64;
     println!(
         "  {:>12}: {:>6.1}% occupancy  stepper {:>12} ns  events {:>12} ns  speedup {:.2}x",
@@ -224,13 +179,9 @@ fn time_scenario(
     })
 }
 
-fn elapsed_ns(start: Instant) -> u64 {
-    (start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64).max(1)
-}
-
 fn main() -> ExitCode {
     run_main(|| {
-        let opts = parse_args()?;
+        let opts = BenchArgs::try_parse(20, 3)?;
         println!("== sim_bench: {} iters/engine, seed {} ==", opts.iters, opts.seed);
         let mut report = Report {
             schema: SCHEMA.to_string(),
@@ -266,14 +217,7 @@ fn main() -> ExitCode {
             &cfg,
             opts.iters,
         )?);
-        let path = opts.out.unwrap_or_else(|| results_dir().join("BENCH_sim.json"));
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir).map_err(write_err(dir))?;
-        }
-        let json = serde_json::to_string_pretty(&report)
-            .map_err(|e| BenchError::Run(format!("serializing report: {e}")))?;
-        std::fs::write(&path, json + "\n").map_err(write_err(&path))?;
-        println!("report written to {}", path.display());
+        opts.write_report("BENCH_sim.json", &report)?;
         Ok(())
     })
 }

@@ -2,7 +2,7 @@
 //!
 //! Each `src/bin/figN*.rs` binary reproduces one or more figures of the
 //! paper's evaluation: it prints the same series the figure plots and dumps
-//! a machine-readable copy under `results/`. All binaries accept:
+//! a machine-readable copy under `results/`. All figure binaries accept:
 //!
 //! * `--sets N` — flow sets per configuration point (default: the paper's
 //!   100; lower it for a quick pass),
@@ -14,14 +14,18 @@
 //! * `--engine slots|events` — simulation core for the campaigns that
 //!   execute simulator runs (schedulability-only figures ignore it).
 //!
+//! The tracked `*_bench` binaries take the flags of [`harness`] instead.
+//!
 //! Binaries exit non-zero with a diagnostic on malformed arguments or
 //! failed runs instead of panicking.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod harness;
 pub mod sched;
 
+use harness::flag_value;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -116,25 +120,12 @@ impl RunOptions {
             engine: wsan_sim::SimEngine::default(),
         };
         let mut args = args.into_iter();
-        fn value<T: std::str::FromStr>(flag: &str, next: Option<String>) -> Result<T, BenchError> {
-            let raw =
-                next.ok_or_else(|| BenchError::Usage(format!("{flag} needs a value; {USAGE}")))?;
-            raw.parse().map_err(|_| {
-                BenchError::Usage(format!("{flag} expects an integer, got '{raw}'; {USAGE}"))
-            })
-        }
         while let Some(arg) = args.next() {
             match arg.as_str() {
-                "--sets" => options.sets = value("--sets", args.next())?,
-                "--seed" => options.seed = value("--seed", args.next())?,
-                "--jobs" => options.jobs = value("--jobs", args.next())?,
-                "--engine" => {
-                    let raw = args.next().ok_or_else(|| {
-                        BenchError::Usage(format!("--engine needs a value; {USAGE}"))
-                    })?;
-                    options.engine =
-                        raw.parse().map_err(|e| BenchError::Usage(format!("{e}; {USAGE}")))?;
-                }
+                "--sets" => options.sets = flag_value("--sets", args.next(), USAGE)?,
+                "--seed" => options.seed = flag_value("--seed", args.next(), USAGE)?,
+                "--jobs" => options.jobs = flag_value("--jobs", args.next(), USAGE)?,
+                "--engine" => options.engine = flag_value("--engine", args.next(), USAGE)?,
                 "--resume" => options.resume = true,
                 "--quick" => {
                     options.quick = true;

@@ -80,15 +80,6 @@ pub fn contenders() -> Vec<(&'static str, Box<dyn Scheduler + Send + Sync>)> {
     ]
 }
 
-/// Median of a sample set, destructively (sorts the slice). Even-length
-/// samples take the lower middle — stable under the small counts
-/// `sched_bench --quick` uses.
-pub fn median_ns(samples: &mut [u64]) -> u64 {
-    assert!(!samples.is_empty(), "median of no samples");
-    samples.sort_unstable();
-    samples[(samples.len() - 1) / 2]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,12 +92,5 @@ mod tests {
             let schedule = rc.schedule(&flows, &model).expect("RC schedules the tracked load");
             assert!(schedule.entry_count() > 0);
         }
-    }
-
-    #[test]
-    fn median_takes_lower_middle() {
-        assert_eq!(median_ns(&mut [5]), 5);
-        assert_eq!(median_ns(&mut [4, 1, 3, 2]), 2);
-        assert_eq!(median_ns(&mut [9, 1, 5]), 5);
     }
 }

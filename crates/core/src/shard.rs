@@ -4,10 +4,9 @@
 //! problem: the hop-matrix alone is quadratic and every admission would
 //! touch the whole timeline. This module partitions a
 //! [`Plant`](wsan_net::plants::Plant) into per-gateway *shards*, lets each
-//! shard schedule independently (in parallel, on the campaign worker
-//! pool — see `wsan_expr`), and stitches the per-shard schedules into one
-//! whole-network schedule that provably respects the §V-A conservative
-//! channel-reuse constraint:
+//! shard schedule independently (in parallel — see `wsan_expr::sharding`),
+//! and stitches the per-shard schedules into one whole-network schedule
+//! that provably respects the §V-A conservative channel-reuse constraint:
 //!
 //! 1. **Partition** ([`plan`]): `k` gateway nodes are picked by seeded
 //!    farthest-point traversal of the communication graph and every node
@@ -451,10 +450,7 @@ pub fn schedule_shard(
 }
 
 /// One shard's contribution to the stitched whole-network schedule.
-///
-/// Serializable so a parallel campaign pool can hand parts back to the
-/// (ordered, deterministic) consumer thread.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardPart {
     /// Index of the shard within its plan.
     pub shard: usize,

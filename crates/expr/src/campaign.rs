@@ -347,7 +347,7 @@ where
 {
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_point(point))) {
         Ok(result) => result,
-        Err(payload) => Err(crate::parallel::payload_message(payload.as_ref())),
+        Err(payload) => Err(wsan_net::parallel::payload_message(payload.as_ref())),
     }
 }
 

@@ -1,12 +1,12 @@
 //! Algorithm-efficiency experiments (Figs. 4, 5): how much channel reuse
 //! each algorithm introduces, and at what hop distances.
 
-use crate::parallel::parallel_map;
 use crate::schedulable::{set_seed, WorkloadConfig};
 use crate::Algorithm;
 use wsan_core::metrics::{compute, ScheduleMetrics};
 use wsan_core::NetworkModel;
 use wsan_flow::{FlowSetConfig, FlowSetGenerator};
+use wsan_net::parallel::parallel_map;
 use wsan_net::{ChannelId, Prr, Topology};
 
 /// Aggregated efficiency metrics of one algorithm at one channel count.

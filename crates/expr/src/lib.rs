@@ -29,7 +29,6 @@ pub mod churn;
 pub mod detection;
 pub mod efficiency;
 pub mod exectime;
-pub mod parallel;
 pub mod recovery;
 pub mod reliability;
 pub mod schedulable;

@@ -6,11 +6,11 @@
 //! channels and the number of flows on both testbed topologies and both
 //! traffic patterns.
 
-use crate::parallel::parallel_map;
 use crate::Algorithm;
 use serde::{Deserialize, Serialize};
 use wsan_core::NetworkModel;
 use wsan_flow::{FlowSetConfig, FlowSetGenerator, PeriodRange, TrafficPattern};
+use wsan_net::parallel::parallel_map;
 use wsan_net::{ChannelId, Prr, Topology};
 
 /// Workload parameters of a schedulability experiment.

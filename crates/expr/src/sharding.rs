@@ -1,13 +1,13 @@
-//! Parallel multi-gateway sharded scheduling on the campaign worker pool.
+//! Parallel multi-gateway sharded scheduling.
 //!
 //! `wsan_core::shard` provides the pure pieces — partition, per-shard
 //! problem construction, stitching, whole-network validation. This module
-//! drives them: the per-shard schedule jobs run as points of the
-//! deterministic campaign engine (work stealing, ordered consumption), so
-//! a city-scale plant schedules on all cores and still produces a
-//! byte-identical stitched schedule for `--jobs 1` and `--jobs N`.
+//! drives them: the per-shard schedule jobs fan out over
+//! [`wsan_net::parallel::parallel_map_with`], whose results come back in
+//! shard order, so a city-scale plant schedules on all cores and still
+//! produces a byte-identical stitched schedule — or the same typed error —
+//! for `--jobs 1` and `--jobs N`.
 
-use crate::campaign::{run, CampaignConfig, CampaignError, PointSpec};
 use crate::Algorithm;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -16,6 +16,7 @@ use wsan_core::shard::{
     ShardPart, ShardPlan,
 };
 use wsan_core::{Schedule, SchedulerConfig};
+use wsan_net::parallel::parallel_map_with;
 use wsan_net::plants::Plant;
 use wsan_net::ChannelSet;
 
@@ -25,8 +26,6 @@ use wsan_net::ChannelSet;
 pub enum ShardedError {
     /// Partitioning, flow generation, scheduling, or stitching failed.
     Shard(ShardError),
-    /// The worker pool failed (a shard job panicked, checkpoint I/O, …).
-    Campaign(CampaignError),
     /// The stitched schedule failed whole-network validation — a bug in
     /// the partition/coloring/stitch pipeline, never expected in a release.
     Invalid {
@@ -39,7 +38,6 @@ impl std::fmt::Display for ShardedError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ShardedError::Shard(e) => write!(f, "{e}"),
-            ShardedError::Campaign(e) => write!(f, "shard pool failed: {e}"),
             ShardedError::Invalid { violations } => {
                 write!(f, "stitched schedule failed validation with {violations} violation(s)")
             }
@@ -52,12 +50,6 @@ impl std::error::Error for ShardedError {}
 impl From<ShardError> for ShardedError {
     fn from(e: ShardError) -> Self {
         ShardedError::Shard(e)
-    }
-}
-
-impl From<CampaignError> for ShardedError {
-    fn from(e: CampaignError) -> Self {
-        ShardedError::Campaign(e)
     }
 }
 
@@ -122,12 +114,9 @@ pub fn schedule_sharded(
     let plan = plan(plant, channels, cfg, jobs)?;
     let scheduler = algorithm.build();
     let sched_cfg = SchedulerConfig::default();
-    let points: Vec<PointSpec<usize>> =
-        (0..cfg.shards).map(|i| PointSpec::new(format!("shard{i}"), i)).collect();
-    let pool_cfg = CampaignConfig { jobs, ..CampaignConfig::default() };
-    // The shard points already spread over the pool; give each point's
-    // internal distance extraction the workers left over so a one-shard
-    // run on a big plant still uses every core without oversubscribing a
+    // The shards already spread over the pool; give each shard's internal
+    // distance extraction the workers left over so a one-shard run on a
+    // big plant still uses every core without oversubscribing a
     // many-shard run.
     let effective = if jobs == 0 {
         std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
@@ -135,26 +124,21 @@ pub fn schedule_sharded(
         jobs
     };
     let inner_jobs = (effective / cfg.shards.max(1)).max(1);
-    let mut parts: Vec<ShardPart> = Vec::with_capacity(cfg.shards);
-    run(
-        "shard",
-        &points,
-        &pool_cfg,
-        |p| {
-            let problem = build_problem(plant, channels, &plan, cfg, p.input, inner_jobs)
-                .map_err(|e| e.to_string())?;
-            let schedule = schedule_shard(&problem, scheduler.as_ref(), &sched_cfg)
-                .map_err(|e| e.to_string())?;
-            Ok(ShardPart {
-                shard: p.input,
-                flow_count: problem.flows.len(),
-                local_to_global: problem.local_to_global,
-                offset_base: problem.offset_base,
-                schedule,
-            })
-        },
-        |_, part| parts.push(part),
-    )?;
+    // In shard order, so the first failing shard by index is reported
+    // whatever the worker count.
+    let parts = parallel_map_with(cfg.shards, jobs, |shard| {
+        let problem = build_problem(plant, channels, &plan, cfg, shard, inner_jobs)?;
+        let schedule = schedule_shard(&problem, scheduler.as_ref(), &sched_cfg)?;
+        Ok(ShardPart {
+            shard,
+            flow_count: problem.flows.len(),
+            local_to_global: problem.local_to_global,
+            offset_base: problem.offset_base,
+            schedule,
+        })
+    })
+    .into_iter()
+    .collect::<Result<Vec<ShardPart>, ShardError>>()?;
     let schedule_ns = elapsed_ns(started);
 
     let stitch_started = Instant::now();
@@ -249,6 +233,21 @@ mod tests {
         assert_eq!(seq.plan, par.plan);
         assert!(seq.report.entries > 0);
         assert_eq!(seq.report.shards, 3);
+    }
+
+    #[test]
+    fn unschedulable_shard_is_a_typed_error_at_any_job_count() {
+        // NR on two channels cannot fit 40 flows in a 200-node shard
+        let plant = generate(&PlantConfig::city("city-200", 200), 3);
+        let channels = ChannelId::range(11, 12).unwrap();
+        let cfg = ShardConfig { reuse_floor: None, ..ShardConfig::new(2, 5, 40) };
+        for jobs in [1, 2] {
+            let err = schedule_sharded(&plant, &channels, &cfg, &Algorithm::Nr, jobs).unwrap_err();
+            assert!(
+                matches!(err, ShardedError::Shard(ShardError::Schedule { shard: 0, .. })),
+                "jobs {jobs}: {err:?}"
+            );
+        }
     }
 
     #[test]

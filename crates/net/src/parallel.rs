@@ -1,9 +1,11 @@
 //! Tiny data-parallel helper over std scoped threads.
 //!
-//! Hosted in `wsan_net` so the graph layer's multi-source BFS builders can
-//! fan out over cores without a dependency cycle; `wsan_expr::parallel`
-//! re-exports these for the schedulability sweeps (100 independent flow
-//! sets per configuration point) and the campaign worker pool.
+//! Hosted in `wsan_net`, the lowest layer that fans out, so every crate
+//! above uses the same pool: the graph layer's multi-source BFS builders,
+//! the sharded scheduler's per-shard fan-out, and `wsan_expr`'s
+//! schedulability sweeps (100 independent flow sets per configuration
+//! point). The campaign engine's own worker pool reuses
+//! [`payload_message`].
 
 /// Applies `f` to `0..n` across up to `available_parallelism` threads and
 /// returns the results in index order.

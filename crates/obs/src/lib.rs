@@ -55,7 +55,6 @@
 pub mod flightrec;
 pub mod hdr;
 pub mod metrics;
-pub mod profile;
 pub mod subscribers;
 pub mod trace;
 
@@ -65,7 +64,6 @@ pub use metrics::{
     global as global_metrics, metrics_enabled, set_metrics_enabled, Counter, Gauge, Histogram,
     MetricsSnapshot, Registry, Timer,
 };
-pub use profile::{PhaseProfile, PhaseProfiler, PhaseTiming};
 pub use subscribers::{JsonLinesSubscriber, NullSubscriber, SharedBuffer, StderrSubscriber};
 pub use trace::{
     current_request, enabled, event, flush, install, kv, next_request_id, request_scope, span,

@@ -4,6 +4,7 @@
 //! generated flow rides links the plant actually provides, and the stitched
 //! whole-network schedule passes the independent validator — byte-identical
 //! whether the shards were scheduled sequentially or on the worker pool.
+//! A fixed 1,200-node workload pins its stitched digest at every shard count.
 
 use proptest::prelude::*;
 use wsan::core::shard::{self, ShardConfig};
@@ -161,4 +162,27 @@ fn thousand_node_plant_schedules_across_four_shards() {
     assert_eq!(sequential.report.digest, pooled.report.digest);
     shard::validate_stitched(&plant, &channels, cfg.reuse_floor, &sequential.schedule)
         .expect("stitched 1,000-node schedule must be interference-free");
+}
+
+/// The 1,200-node shard-count pins: one 24-flow RC workload split over
+/// 1, 2, 4 and 8 gateways stitches exactly these schedules, sequentially
+/// and on the worker pool.
+#[test]
+fn twelve_hundred_node_digests_are_pinned_for_every_shard_count() {
+    let plant = generate(&PlantConfig::city("city-1200", 1_200), 42);
+    let channels = ChannelId::all();
+    let algo = Algorithm::Rc { rho_t: 2 };
+    for (shards, digest) in [
+        (1, 0x79cc_4398_d3db_39aa),
+        (2, 0xe3d5_8e21_fe6c_6d3e),
+        (4, 0xc896_4e7d_947a_46fb),
+        (8, 0xa47f_a0c5_49d8_76ea),
+    ] {
+        let cfg = ShardConfig { flows_per_shard: 24 / shards, ..ShardConfig::new(shards, 42, 0) };
+        for jobs in [1, 0] {
+            let out = schedule_sharded(&plant, &channels, &cfg, &algo, jobs)
+                .expect("the pinned workload schedules");
+            assert_eq!(out.report.digest, digest, "{shards} shard(s), jobs {jobs}");
+        }
+    }
 }
