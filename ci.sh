@@ -26,6 +26,11 @@ echo "$eq_prop" | grep -q "equivalence_capped_hops_conservative_for_every_rho"
 echo "$eq_prop" | grep -q "equivalence_exact_hops_matches_dense"
 echo "$eq_prop" | grep -q "equivalence_parallel_capped_build_is_byte_identical"
 echo "$eq_prop" | grep -q "equivalence_restricted_extraction_matches_dense"
+echo "$eq_prop" | grep -q "equivalence_csr_build_matches_sorted_reference"
+
+echo "==> shard routing-graph equivalence suite runs in the default pass"
+shard_list="$(cargo test -q --test scale_sharding -- --list)"
+echo "$shard_list" | grep -q "induced_comm_graph_matches_link_scan"
 
 echo "==> event-vs-oracle sim equivalence suite runs in the default pass"
 eq_list="$(cargo test -q -p wsan-sim --test engine_equivalence -- --list)"

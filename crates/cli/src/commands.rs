@@ -800,8 +800,8 @@ fn cmd_shard(args: &Args) -> Result<(), String> {
         );
     }
     println!(
-        "stitched schedule validated against the whole network \
-         (schedule {:.1} ms, stitch {:.1} ms, validate {:.1} ms, digest {:016x})",
+        "stitched schedule validated against the whole network (plan+build+schedule \
+         {:.1} ms, stitch {:.1} ms, validate {:.1} ms, digest {:016x})",
         report.schedule_ns as f64 / 1e6,
         report.stitch_ns as f64 / 1e6,
         report.validate_ns as f64 / 1e6,

@@ -23,17 +23,20 @@
 //!    conflicts and the spectrum is split `k` ways.
 //! 3. **Per-shard scheduling** ([`build_problem`], [`schedule_shard`]):
 //!    each shard schedules its own flow set over its offset block with an
-//!    unmodified [`Scheduler`]. Its hop matrix holds *global* reuse
-//!    distances restricted to the shard (an induced subgraph would
-//!    overstate distances and un-conservatively allow reuse).
+//!    unmodified [`Scheduler`]. Its routing graph is the induced subgraph
+//!    of the plan's whole-plant comm graph; its hop matrix holds *global*
+//!    distances on the plan's whole-plant reuse graph, restricted to the
+//!    shard (an induced reuse subgraph would overstate distances and
+//!    un-conservatively allow reuse). The plan builds each whole-plant
+//!    graph once per run.
 //! 4. **Stitch** ([`stitch`]): per-shard schedules are unrolled to the
 //!    common hyperperiod and placed into one whole-network
 //!    [`Schedule`], offsets translated by each shard's block base.
 //! 5. **Validate** ([`validate_stitched`]): an independent whole-network
-//!    pass re-checks every shared cell against the §V-A test on the
-//!    whole-plant reuse graph, and every slot for node-level TDMA
-//!    conflicts — proving the stitched schedule interference-free
-//!    without trusting steps 1–4.
+//!    pass re-checks every shared cell against the §V-A test on a
+//!    whole-plant reuse graph it builds from the plant itself (not the
+//!    plan's), and every slot for node-level TDMA conflicts — proving the
+//!    stitched schedule interference-free without trusting steps 1–4.
 
 use crate::{NetworkModel, Schedule, ScheduleError, ScheduledTx, Scheduler, SchedulerConfig};
 use wsan_flow::{
@@ -41,7 +44,7 @@ use wsan_flow::{
 };
 use wsan_net::parallel::parallel_map_with;
 use wsan_net::plants::Plant;
-use wsan_net::{ChannelSet, CommGraph, NodeId, Prr, UNREACHABLE};
+use wsan_net::{ChannelSet, CommGraph, NodeId, Prr, ReuseGraph, UNREACHABLE};
 
 /// Knobs of a sharded scheduling run.
 #[derive(Debug, Clone)]
@@ -172,7 +175,12 @@ pub struct Shard {
 
 /// A partition of a plant into per-gateway shards with a conflict-free
 /// spectrum coloring.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The plan also carries the whole-plant communication and reuse graphs
+/// it was computed on, with the channel set and `prr_t` they were built
+/// for: [`build_problem`] derives every shard's inputs from them, so each
+/// graph is built once per sharded run.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardPlan {
     shards: Vec<Shard>,
     shard_of: Vec<u32>,
@@ -182,7 +190,14 @@ pub struct ShardPlan {
     pub channels: usize,
     /// The reuse floor the conflict test used (`None` = NR).
     pub reuse_floor: Option<u32>,
+    comm: CommGraph,
+    reuse: ReuseGraph,
+    channel_set: ChannelSet,
+    prr_t: Prr,
 }
+
+// `Prr` is never NaN, so the derived `PartialEq` is an equivalence.
+impl Eq for ShardPlan {}
 
 impl ShardPlan {
     /// The shards, in index order.
@@ -270,7 +285,8 @@ pub fn plan(
 
     // Shard conflict graph: shards whose node sets come closer than the
     // reuse floor on the whole-plant reuse graph can interfere (§V-A
-    // quantified over every possible cross-shard transmission pair).
+    // quantified over every possible cross-shard transmission pair). The
+    // plan keeps the graph for every shard's distance extraction.
     let reuse = plant.reuse_graph(channels);
     let mut conflicts = vec![vec![false; cfg.shards]; cfg.shards];
     match cfg.reuse_floor {
@@ -333,7 +349,17 @@ pub fn plan(
             comm_radius: comm_radius[index],
         })
         .collect();
-    Ok(ShardPlan { shards, shard_of, color_count, channels: m, reuse_floor: cfg.reuse_floor })
+    Ok(ShardPlan {
+        shards,
+        shard_of,
+        color_count,
+        channels: m,
+        reuse_floor: cfg.reuse_floor,
+        comm,
+        reuse,
+        channel_set: channels.clone(),
+        prr_t: cfg.prr_t,
+    })
 }
 
 /// One shard's self-contained scheduling problem.
@@ -355,14 +381,20 @@ pub struct ShardProblem {
 /// Builds shard `index`'s scheduling problem: local communication graph,
 /// globally-derived hop distances, and a seeded flow set.
 ///
+/// Both graphs come from `plan`, which carries the whole-plant graphs it
+/// was computed on; nothing is rebuilt from `plant`, which must be the
+/// plant the plan partitions.
+///
 /// Deterministic in `(plant, plan, cfg, index)` — safe to run on any
 /// worker of a parallel pool. `jobs` bounds the workers of the internal
 /// distance extraction (`0` = all cores) and never changes the result.
 ///
 /// # Errors
 ///
-/// [`ShardError::Flows`] when flow generation fails (e.g. a shard too
-/// small to host `cfg.flows_per_shard` routable flows).
+/// [`ShardError::Config`] when `plant`, `channels` or `cfg.prr_t` differ
+/// from what `plan` was built for (its graphs would not describe this
+/// problem), and [`ShardError::Flows`] when flow generation fails (e.g. a
+/// shard too small to host `cfg.flows_per_shard` routable flows).
 pub fn build_problem(
     plant: &Plant,
     channels: &ChannelSet,
@@ -371,31 +403,27 @@ pub fn build_problem(
     index: usize,
     jobs: usize,
 ) -> Result<ShardProblem, ShardError> {
+    let mismatch = if plant.node_count() != plan.node_count() {
+        Some("plant")
+    } else if *channels != plan.channel_set {
+        Some("channel set")
+    } else if cfg.prr_t != plan.prr_t {
+        Some("prr_t")
+    } else {
+        None
+    };
+    if let Some(what) = mismatch {
+        return Err(ShardError::Config {
+            reason: format!("the {what} differs from the one the plan was built for"),
+        });
+    }
     let shard = &plan.shards[index];
     let locals = &shard.nodes;
     let n_local = locals.len();
-    let mut global_to_local = vec![u32::MAX; plant.node_count()];
-    for (l, g) in locals.iter().enumerate() {
-        global_to_local[g.index()] = l as u32;
-    }
 
     // Local communication graph: the plant comm edges with both endpoints
     // inside the shard.
-    let t = cfg.prr_t.value() as f32;
-    let mut comm_edges = Vec::new();
-    for link in plant.links() {
-        let (la, lb) = (global_to_local[link.a.index()], global_to_local[link.b.index()]);
-        if la == u32::MAX || lb == u32::MAX {
-            continue;
-        }
-        let good = channels
-            .iter()
-            .all(|ch| link.prr_ab[ch.band_index()] >= t && link.prr_ba[ch.band_index()] >= t);
-        if good {
-            comm_edges.push((NodeId::new(la as usize), NodeId::new(lb as usize)));
-        }
-    }
-    let comm = CommGraph::from_edges(n_local, &comm_edges);
+    let comm = plan.comm.induced(locals);
 
     // Hop distances: *global* reuse distances restricted to the shard. An
     // induced-subgraph matrix would overstate distances (paths through
@@ -405,9 +433,8 @@ pub fn build_problem(
     // [`Shard::comm_radius`]), so the resulting schedule is byte-identical
     // to one built from unbounded whole-plant BFS — at a fraction of the
     // cost, since each wave stops at the shard's reuse neighborhood.
-    let reuse = plant.reuse_graph(channels);
     let cap = shard.comm_radius.saturating_mul(2).saturating_add(1);
-    let hops = reuse.capped_hops_restricted(locals, cap, jobs);
+    let hops = plan.reuse.capped_hops_restricted(locals, cap, jobs);
     debug_assert!(
         hops.diameter() < cap,
         "intra-shard distance reached the cap, violating the radius bound"
@@ -607,7 +634,9 @@ pub fn validate_stitched(
     // cell, *truncated at the reuse floor* — the test only asks
     // `dist < rho`, and a rho-capped wave (distances ≥ rho saturate to
     // rho) answers it exactly while visiting only each transmitter's
-    // rho-neighborhood. No quadratic whole-plant hop matrix is needed.
+    // rho-neighborhood. No quadratic whole-plant hop matrix is needed. The
+    // graph is built from the plant here, never taken from the plan: the
+    // validator trusts nothing the pipeline computed.
     let reuse = plant.reuse_graph(channels);
     let mut dist_from: std::collections::BTreeMap<NodeId, Vec<u32>> =
         std::collections::BTreeMap::new();
@@ -791,6 +820,25 @@ mod tests {
             }
             other => panic!("expected Channels error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn building_against_another_channel_set_or_threshold_is_a_config_error() {
+        let plant = test_plant();
+        let channels = ChannelId::range(11, 26).unwrap();
+        let cfg = ShardConfig::new(2, 3, 2);
+        let plan = plan(&plant, &channels, &cfg, 1).unwrap();
+        let narrow = ChannelId::range(11, 14).unwrap();
+        assert!(matches!(
+            build_problem(&plant, &narrow, &plan, &cfg, 0, 1),
+            Err(ShardError::Config { .. })
+        ));
+        let looser = ShardConfig { prr_t: Prr::new(0.8).unwrap(), ..cfg.clone() };
+        assert!(matches!(
+            build_problem(&plant, &channels, &plan, &looser, 0, 1),
+            Err(ShardError::Config { .. })
+        ));
+        assert!(build_problem(&plant, &channels, &plan, &cfg, 0, 1).is_ok());
     }
 
     #[test]

@@ -72,7 +72,9 @@ pub struct ShardedReport {
     pub horizon: u32,
     /// FNV-1a digest of the stitched schedule (determinism pin).
     pub digest: u64,
-    /// Wall-clock of the parallel partition+schedule phase, nanoseconds.
+    /// Wall-clock of everything before stitching, nanoseconds: the plan,
+    /// every per-shard problem build and every per-shard schedule. (The
+    /// name is older than that split; reports on disk carry it.)
     pub schedule_ns: u64,
     /// Wall-clock of stitching, nanoseconds.
     pub stitch_ns: u64,

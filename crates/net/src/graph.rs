@@ -5,15 +5,15 @@
 //! # Scale notes (DESIGN.md §16)
 //!
 //! Adjacency is stored in CSR form (flat `offsets` + `targets`), built once
-//! by sort/dedup — no per-insert duplicate scans. Hop distances come in two
-//! flavors: the dense [`HopMatrix`] (`u32` per cell, kept as the small-graph
-//! oracle) and [`CappedHops`], which stores distances *saturated at a cap*
-//! in one or two bytes per cell. §V-A only ever asks `hops(a,b) ≥ ρ`, so a
-//! saturated distance is exact below the cap and conservative (reuse
-//! denied) at or above it. Both are filled by a bit-parallel multi-source
-//! BFS that advances 64 sources per sweep and fans blocks out over a worker
-//! pool; block results are concatenated in index order, so the output is
-//! byte-identical for any worker count.
+//! by counting sort with a per-row dedup — no per-insert duplicate scans.
+//! Hop distances come in two flavors: the dense [`HopMatrix`] (`u32` per
+//! cell, kept as the small-graph oracle) and [`CappedHops`], which stores
+//! distances *saturated at a cap* in one or two bytes per cell. §V-A only
+//! ever asks `hops(a,b) ≥ ρ`, so a saturated distance is exact below the
+//! cap and conservative (reuse denied) at or above it. Both are filled by a
+//! bit-parallel multi-source BFS that advances 64 sources per sweep and
+//! fans blocks out over a worker pool; block results are concatenated in
+//! index order, so the output is byte-identical for any worker count.
 
 use crate::parallel::parallel_map_with;
 use crate::{ChannelSet, DirectedLink, NodeId, Prr, Topology};
@@ -36,30 +36,80 @@ struct Adjacency {
 }
 
 impl Adjacency {
-    /// Builds the CSR layout from an iterator of undirected edges.
-    /// Duplicates (including reversed duplicates) collapse in the dedup.
-    fn from_pairs(n: usize, pairs: impl IntoIterator<Item = (NodeId, NodeId)>) -> Self {
-        // NodeId is u16, so a directed pair packs into one u32 key; sorting
-        // the key vector orders by source then target, which is exactly the
-        // CSR layout.
-        let mut keys: Vec<u32> = Vec::new();
-        for (a, b) in pairs {
-            debug_assert!(a != b, "self loops are not meaningful");
-            let (ai, bi) = (a.index() as u32, b.index() as u32);
-            keys.push(ai << 16 | bi);
-            keys.push(bi << 16 | ai);
-        }
-        keys.sort_unstable();
-        keys.dedup();
+    /// Builds the CSR layout from undirected edges by counting sort:
+    /// degree counts, prefix sums, a scatter of both directions, then each
+    /// row sorted and deduplicated in place. Duplicates (including
+    /// reversed duplicates) collapse in the dedup. Edge lists in `(a, b)`
+    /// order — what `Plant` and `Topology` produce — scatter every row
+    /// already sorted.
+    fn from_pairs(n: usize, pairs: &[(NodeId, NodeId)]) -> Self {
         let mut offsets = vec![0u32; n + 1];
-        for &k in &keys {
-            offsets[(k >> 16) as usize + 1] += 1;
+        for &(a, b) in pairs {
+            debug_assert!(a != b, "self loops are not meaningful");
+            offsets[a.index() + 1] += 1;
+            offsets[b.index() + 1] += 1;
         }
         for i in 0..n {
             offsets[i + 1] += offsets[i];
         }
-        let targets = keys.iter().map(|&k| NodeId::new((k & 0xffff) as usize)).collect();
+        let mut targets = vec![NodeId::new(0); offsets[n] as usize];
+        let mut fill: Vec<u32> = offsets[..n].to_vec();
+        for &(a, b) in pairs {
+            for (row, target) in [(a, b), (b, a)] {
+                let slot = &mut fill[row.index()];
+                targets[*slot as usize] = target;
+                *slot += 1;
+            }
+        }
+        // Compact the deduplicated rows towards the front; the write cursor
+        // never passes the read cursor, so no unread target is overwritten.
+        let mut write = 0usize;
+        let mut start = 0usize;
+        for v in 0..n {
+            let end = offsets[v + 1] as usize;
+            targets[start..end].sort_unstable();
+            let row_start = write;
+            for i in start..end {
+                let t = targets[i];
+                if write == row_start || targets[write - 1] != t {
+                    targets[write] = t;
+                    write += 1;
+                }
+            }
+            offsets[v + 1] = write as u32;
+            start = end;
+        }
+        targets.truncate(write);
         Adjacency { n, offsets, targets }
+    }
+
+    /// The subgraph induced by `nodes`, with local id `i` standing for
+    /// `nodes[i]`: local `i, j` are adjacent iff `nodes[i], nodes[j]` are.
+    /// One pass over the members' rows; rows come out sorted (already so
+    /// when `nodes` is ascending), i.e. the canonical CSR of that edge set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes` repeats a node.
+    fn induced(&self, nodes: &[NodeId]) -> Self {
+        let mut local = vec![u32::MAX; self.n];
+        for (l, g) in nodes.iter().enumerate() {
+            assert!(local[g.index()] == u32::MAX, "induced subgraph repeats node {g:?}");
+            local[g.index()] = l as u32;
+        }
+        let mut offsets = Vec::with_capacity(nodes.len() + 1);
+        offsets.push(0u32);
+        let mut targets = Vec::new();
+        for &g in nodes {
+            let row_start = targets.len();
+            targets.extend(self.neighbors(g).iter().filter_map(|w| {
+                let l = local[w.index()];
+                (l != u32::MAX).then(|| NodeId::new(l as usize))
+            }));
+            targets[row_start..].sort_unstable();
+            offsets.push(targets.len() as u32);
+        }
+        Adjacency { n: nodes.len(), offsets, targets }
     }
 
     fn neighbors(&self, a: NodeId) -> &[NodeId] {
@@ -248,21 +298,6 @@ impl HopMatrix {
         for src in 0..n {
             dist.extend(adj.bfs(NodeId::new(src)));
         }
-        HopMatrix { n, dist }
-    }
-
-    /// Builds a matrix from row-major distances (`dist[a · n + b]`).
-    ///
-    /// Use this to carry externally computed distances — e.g. the global
-    /// reuse-graph distances of a whole plant restricted to one shard's
-    /// nodes, which per-shard scheduling must use so its reuse decisions
-    /// stay conservative with respect to paths through *other* shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dist.len() != n * n`.
-    pub fn from_rows(n: usize, dist: Vec<u32>) -> Self {
-        assert_eq!(dist.len(), n * n, "hop matrix needs n² entries");
         HopMatrix { n, dist }
     }
 
@@ -708,16 +743,29 @@ impl CommGraph {
                 }
             }
         }
-        CommGraph { adj: Adjacency::from_pairs(n, pairs), diam: DiamCache::default() }
+        CommGraph { adj: Adjacency::from_pairs(n, &pairs), diam: DiamCache::default() }
     }
 
     /// Builds a communication graph directly from an undirected edge list
     /// (for hand-crafted test networks).
     pub fn from_edges(node_count: usize, edges: &[(NodeId, NodeId)]) -> Self {
-        CommGraph {
-            adj: Adjacency::from_pairs(node_count, edges.iter().copied()),
-            diam: DiamCache::default(),
-        }
+        CommGraph { adj: Adjacency::from_pairs(node_count, edges), diam: DiamCache::default() }
+    }
+
+    /// The subgraph induced by `nodes` (distinct), renumbered so that
+    /// local node `i` is `nodes[i]`. Byte-identical to building the graph
+    /// from the edges among `nodes`, at the cost of the members' rows
+    /// rather than the whole edge list — a shard's local routing graph.
+    ///
+    /// `ReuseGraph` has no counterpart on purpose: hop distances on an
+    /// induced reuse graph overstate the true ones (paths through
+    /// non-members vanish), which would grant reuse unsoundly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes` repeats a node or holds an out-of-range id.
+    pub fn induced(&self, nodes: &[NodeId]) -> Self {
+        CommGraph { adj: self.adj.induced(nodes), diam: DiamCache::default() }
     }
 
     /// Selects `k` access points: well-connected nodes ("nodes with a high
@@ -796,16 +844,13 @@ impl ReuseGraph {
                 }
             }
         }
-        ReuseGraph { adj: Adjacency::from_pairs(n, pairs), diam: DiamCache::default() }
+        ReuseGraph { adj: Adjacency::from_pairs(n, &pairs), diam: DiamCache::default() }
     }
 
     /// Builds a reuse graph directly from an undirected edge list (for
     /// hand-crafted test networks).
     pub fn from_edges(node_count: usize, edges: &[(NodeId, NodeId)]) -> Self {
-        ReuseGraph {
-            adj: Adjacency::from_pairs(node_count, edges.iter().copied()),
-            diam: DiamCache::default(),
-        }
+        ReuseGraph { adj: Adjacency::from_pairs(node_count, edges), diam: DiamCache::default() }
     }
 }
 
@@ -883,6 +928,28 @@ mod tests {
         assert!(g.has_edge(n(4), n(0)));
         assert!(!g.has_edge(n(1), n(4)));
         assert_eq!(g.edge_count(), 4);
+    }
+
+    #[test]
+    fn induced_subgraph_renumbers_in_member_order() {
+        // star around 2 plus the chain 4 - 5
+        let g = CommGraph::from_edges(
+            6,
+            &[(n(2), n(0)), (n(2), n(1)), (n(2), n(3)), (n(2), n(4)), (n(4), n(5))],
+        );
+        // members out of ascending order: local 0 = 5, 1 = 2, 2 = 4, 3 = 0
+        let sub = g.induced(&[n(5), n(2), n(4), n(0)]);
+        let want = CommGraph::from_edges(4, &[(n(1), n(2)), (n(1), n(3)), (n(2), n(0))]);
+        assert_eq!(sub, want);
+        assert_eq!(sub.neighbors(n(1)), &[n(2), n(3)]);
+        assert_eq!(g.induced(&[]).node_count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "repeats node")]
+    fn induced_subgraph_rejects_repeated_members() {
+        let g = CommGraph::from_edges(3, &[(n(0), n(1)), (n(1), n(2))]);
+        let _ = g.induced(&[n(1), n(0), n(1)]);
     }
 
     #[test]

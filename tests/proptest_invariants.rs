@@ -4,10 +4,11 @@
 //! mathematics it implements.
 
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use wsan::core::{validate, NetworkModel, Scheduler};
 use wsan::expr::Algorithm;
 use wsan::flow::{priority, Flow, FlowId, Period};
-use wsan::net::{NodeId, ReuseGraph, Route};
+use wsan::net::{CommGraph, NodeId, ReuseGraph, Route};
 use wsan::stats::ks::two_sample;
 use wsan::stats::{BoxPlot, Ecdf, Histogram};
 
@@ -30,6 +31,37 @@ fn arb_reuse_graph(max_nodes: usize) -> impl Strategy<Value = ReuseGraph> {
             ReuseGraph::from_edges(n, &edges)
         },
     )
+}
+
+/// A raw undirected edge list for the CSR builder: `n` is 0 or 1 a quarter
+/// of the time, edges come in arbitrary order and are salted with repeated
+/// and reversed copies of themselves, and sparse draws leave nodes isolated.
+fn arb_edge_list() -> impl Strategy<Value = (usize, Vec<(NodeId, NodeId)>)> {
+    (
+        (0usize..4, 0usize..32),
+        proptest::collection::vec((0usize..64, 0usize..64), 0..40),
+        proptest::collection::vec((0usize..64, 0usize..2), 0..20),
+    )
+        .prop_map(|((tiny, size), raw, copies)| {
+            let n = if tiny == 0 { size % 2 } else { size };
+            let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
+            if n >= 2 {
+                for (a, b) in raw {
+                    let (a, b) = (a % n, b % n);
+                    if a != b {
+                        edges.push((NodeId::new(a), NodeId::new(b)));
+                    }
+                }
+            }
+            for (pick, reversed) in copies {
+                if edges.is_empty() {
+                    break;
+                }
+                let (a, b) = edges[pick % edges.len()];
+                edges.push(if reversed == 1 { (b, a) } else { (a, b) });
+            }
+            (n, edges)
+        })
 }
 
 /// Random flows over a graph: single- or multi-hop walks along node indexes.
@@ -453,6 +485,36 @@ proptest! {
                     want,
                     "member pair {:?}->{:?}", a, b
                 );
+            }
+        }
+    }
+
+    /// The counting-sort CSR build gives every node exactly the sorted,
+    /// deduplicated neighbor set of a `BTreeSet` reference, for any edge
+    /// order, duplicates, reversed duplicates, isolated nodes and `n` of 0
+    /// or 1 — through both graph flavors' constructors.
+    #[test]
+    fn equivalence_csr_build_matches_sorted_reference((n, edges) in arb_edge_list()) {
+        let mut reference = vec![BTreeSet::new(); n];
+        for &(a, b) in &edges {
+            reference[a.index()].insert(b);
+            reference[b.index()].insert(a);
+        }
+        let edge_count = reference.iter().map(BTreeSet::len).sum::<usize>() / 2;
+        let comm = CommGraph::from_edges(n, &edges);
+        let reuse = ReuseGraph::from_edges(n, &edges);
+        prop_assert_eq!(comm.node_count(), n);
+        prop_assert_eq!(reuse.node_count(), n);
+        prop_assert_eq!(comm.edge_count(), edge_count);
+        prop_assert_eq!(reuse.edge_count(), edge_count);
+        for (v, want) in reference.iter().enumerate() {
+            let v = NodeId::new(v);
+            let want: Vec<NodeId> = want.iter().copied().collect();
+            prop_assert_eq!(comm.neighbors(v), &want[..], "comm row {:?}", v);
+            prop_assert_eq!(reuse.neighbors(v), &want[..], "reuse row {:?}", v);
+            prop_assert_eq!(comm.degree(v), want.len());
+            for w in (0..n).map(NodeId::new) {
+                prop_assert_eq!(reuse.has_edge(v, w), want.contains(&w));
             }
         }
     }

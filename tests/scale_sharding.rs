@@ -1,7 +1,8 @@
 //! Property tests over the city-plant generator and the multi-gateway
 //! sharding pipeline: for arbitrary plant layouts and seeds, the generated
 //! plant is connected, the shard partition is an exact cover, every
-//! generated flow rides links the plant actually provides, and the stitched
+//! generated flow rides links the plant actually provides, each shard's
+//! induced routing graph equals a scan of the plant links, and the stitched
 //! whole-network schedule passes the independent validator — byte-identical
 //! whether the shards were scheduled sequentially or on the worker pool.
 //! A fixed 1,200-node workload pins its stitched digest at every shard count.
@@ -12,7 +13,7 @@ use wsan::expr::sharding::{schedule_digest, schedule_sharded};
 use wsan::expr::Algorithm;
 use wsan::net::plants::{generate, PlantConfig};
 use wsan::net::propagation::PropagationModel;
-use wsan::net::{ChannelId, Prr};
+use wsan::net::{ChannelId, CommGraph, NodeId, Prr};
 
 /// Small-but-varied plant layouts: 1–4 buildings, 1–2 floors, dense enough
 /// per floor that the generator can find a connected candidate and shards
@@ -105,6 +106,44 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+
+    /// A shard's routing graph, taken as the subgraph of the whole-plant
+    /// comm graph induced by the shard's nodes, is byte-identical to a
+    /// scan of every plant link for in-shard pairs that clear `prr_t` in
+    /// both directions on every channel, renumbered in shard node order.
+    #[test]
+    fn induced_comm_graph_matches_link_scan(
+        (config, seed) in arb_plant(),
+        shards in 1usize..=3,
+    ) {
+        let plant = generate(&config, seed);
+        let channels = ChannelId::all();
+        let cfg = ShardConfig::new(shards, seed, 2);
+        let plan = shard::plan(&plant, &channels, &cfg, 1).expect("planning");
+        let comm = plant.comm_graph(&channels, cfg.prr_t);
+        let t = cfg.prr_t.value() as f32;
+        for s in plan.shards() {
+            let mut local = vec![usize::MAX; plant.node_count()];
+            for (l, g) in s.nodes.iter().enumerate() {
+                local[g.index()] = l;
+            }
+            let mut edges = Vec::new();
+            for link in plant.links() {
+                let (la, lb) = (local[link.a.index()], local[link.b.index()]);
+                let good = channels.iter().all(|ch| {
+                    link.prr_ab[ch.band_index()] >= t && link.prr_ba[ch.band_index()] >= t
+                });
+                if la != usize::MAX && lb != usize::MAX && good {
+                    edges.push((NodeId::new(la), NodeId::new(lb)));
+                }
+            }
+            prop_assert_eq!(
+                comm.induced(&s.nodes),
+                CommGraph::from_edges(s.nodes.len(), &edges),
+                "shard {}", s.index
+            );
         }
     }
 }
