@@ -15,6 +15,9 @@ cargo build --release --workspace
 echo "==> cargo test (tier 1)"
 cargo test -q --workspace
 
+echo "==> release-mode tests of the core and simulator (floating point as the benchmark builds it)"
+cargo test --release --offline -q -p wsan-core -p wsan-sim
+
 echo "==> perf_ledger self-tests (the repository benchmark, tiny scale)"
 cargo test --offline -q --manifest-path perf_ledger/Cargo.toml
 
@@ -38,6 +41,14 @@ echo "$eq_list" | grep -q "dense_contract_run_is_byte_identical"
 echo "$eq_list" | grep -q "scheduled_faults_match_including_fault_log"
 echo "$eq_list" | grep -q "outside_contract_is_statistically_equivalent"
 echo "$eq_list" | grep -q "random_contract_scenarios_are_byte_identical"
+
+echo "==> link-budget bit-equality suite and golden reports run in the default pass"
+budget_list="$(cargo test -q -p wsan-sim --lib -- --list)"
+echo "$budget_list" | grep -q "table_path_is_bit_identical_to_the_position_formula"
+golden_list="$(cargo test -q -p wsan-sim --test golden_report -- --list)"
+echo "$golden_list" | grep -q "seeded_run_matches_golden_digest"
+echo "$golden_list" | grep -q "event_engine_run_matches_golden_digest"
+echo "$golden_list" | grep -q "aggressive_reuse_under_per_floor_wifi_matches_golden_digest"
 
 echo "==> release smoke run (fig6, tiny scale)"
 smoke_dir="$(mktemp -d)"

@@ -587,6 +587,9 @@ mod tests {
         assert_eq!(cells[0].1, 1);
     }
 
+    // the conflict check is a `debug_assert!`: release builds compile it
+    // out, so this test exists only where it does
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "transmission conflict")]
     fn debug_placement_conflict_panics() {

@@ -132,10 +132,19 @@ impl ChannelSet {
     ///
     /// Panics if the set is empty.
     pub fn physical(&self, asn: u64, offset: usize) -> ChannelId {
+        self.channels[self.physical_index(asn, offset)]
+    }
+
+    /// The mapping-table position of [`ChannelSet::physical`]'s channel,
+    /// for tables indexed by channel-set position.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the set is empty.
+    pub fn physical_index(&self, asn: u64, offset: usize) -> usize {
         assert!(!self.channels.is_empty(), "channel set is empty");
         let m = self.channels.len() as u64;
-        let logical = (asn + offset as u64) % m;
-        self.channels[logical as usize]
+        ((asn + offset as u64) % m) as usize
     }
 
     /// Restricts the set to its first `m` channels (the "use m channels"

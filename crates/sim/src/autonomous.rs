@@ -8,7 +8,7 @@
 //! decides who survives. Packets retry every slotframe round until
 //! delivered or past their deadline.
 
-use crate::phy::Phy;
+use crate::phy::{PathLoss, Phy};
 use crate::{FlowStats, SimConfig, SimReport, WifiInterferer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -72,7 +72,8 @@ impl<'a> AutonomousSimulator<'a> {
     /// only if it reaches the destination before its deadline).
     pub fn run(&self, config: &SimConfig) -> SimReport {
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let phy = Phy::new(self.topo, config.capture);
+        let path = PathLoss::new(self.topo);
+        let phy = Phy::new(config.capture);
         let hyperperiod = u64::from(self.flows.hyperperiod());
         let total_slots = hyperperiod * u64::from(config.repetitions.max(1));
         let mut flow_stats = vec![FlowStats::default(); self.flows.len()];
@@ -136,27 +137,30 @@ impl<'a> AutonomousSimulator<'a> {
                 let mut winner_of_rx: BTreeMap<NodeId, (usize, f64)> = BTreeMap::new();
                 for &pi in group {
                     let link = self.hops[packets[pi].flow][packets[pi].hop];
-                    let interferers: Vec<NodeId> = group
+                    let interferer_mw: Vec<f64> = group
                         .iter()
                         .filter(|&&o| o != pi)
-                        .map(|&o| self.hops[packets[o].flow][packets[o].hop].tx)
+                        .map(|&o| {
+                            let sender = self.hops[packets[o].flow][packets[o].hop].tx;
+                            path.received_mw(sender, link.rx, channel)
+                        })
                         .collect();
-                    let external = phy.external_mw(link.rx, channel, active_wifi.iter().copied());
-                    let fading = if interferers.is_empty() && external <= 0.0 {
+                    let external = path.external_mw(link.rx, channel, active_wifi.iter().copied());
+                    let fading = if interferer_mw.is_empty() && external <= 0.0 {
                         0.0
                     } else {
                         config.capture.fading.sample_db(&mut rng)
                     };
                     let p = phy.success_probability(
-                        link.tx,
-                        link.rx,
-                        channel,
-                        &interferers,
+                        self.topo.prr(link.tx, link.rx, channel).value(),
+                        None,
+                        path.received_mw(link.tx, link.rx, channel),
+                        &interferer_mw,
                         external,
                         fading,
                     );
                     if rng.gen::<f64>() < p {
-                        let power = phy.received_power_dbm(link.tx, link.rx, channel);
+                        let power = path.received_power_dbm(link.tx, link.rx, channel);
                         let best = winner_of_rx.entry(link.rx).or_insert((pi, power));
                         if power > best.1 {
                             *best = (pi, power);

@@ -1,15 +1,15 @@
 //! The slot-by-slot simulation engine.
 
 use crate::error::SimError;
-use crate::faults::{FaultInjector, FaultLog};
-use crate::phy::Phy;
-use crate::{FlowStats, LinkCondition, PrrSample, SimConfig, SimReport, WifiInterferer};
+use crate::faults::{FaultInjector, FaultLog, FaultPlan};
+use crate::phy::{LinkBudgets, PathLoss, Phy, WifiBudgets};
+use crate::{FlowStats, LinkCondition, PrrSample, SimConfig, SimReport, TraceBuffer, TraceEvent};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use wsan_core::Schedule;
 use wsan_flow::FlowSet;
-use wsan_net::{ChannelSet, DirectedLink, NodeId, Topology};
+use wsan_net::{ChannelSet, DirectedLink, Topology};
 
 /// One transmission opportunity of the slotframe, precomputed for fast
 /// repetition. Shared with the event engine (`crate::events`), which
@@ -19,9 +19,15 @@ use wsan_net::{ChannelSet, DirectedLink, NodeId, Topology};
 pub(crate) struct SlotTx {
     pub(crate) offset: usize,
     pub(crate) link: DirectedLink,
+    /// index of `link` in [`Simulator::scheduled_links`]
+    pub(crate) link_idx: usize,
     pub(crate) job_flat: usize,
     pub(crate) hop_index: u32,
     pub(crate) reuse: bool,
+    /// position in its cell
+    pub(crate) cell_pos: usize,
+    /// start of its receiver's row in the cell budgets (reuse cells only)
+    pub(crate) cell_row: usize,
 }
 
 /// Instrument handles for the per-slot loop, built once per run and only
@@ -99,11 +105,14 @@ pub struct Simulator<'a> {
     pub(crate) job_flow: Vec<usize>,
     /// release slot of each flat job
     pub(crate) job_release: Vec<u32>,
-    /// distinct links appearing in the schedule, for discovery probes
+    /// distinct links appearing in the schedule, ascending: discovery
+    /// probes, link budgets and sample windows are indexed by position here
     pub(crate) scheduled_links: Vec<DirectedLink>,
     /// slots of the slotframe holding at least one scheduled transmission,
     /// ascending — the event engine's itinerary
     pub(crate) busy_slots: Vec<u32>,
+    /// signal and co-cell interferer powers of the scheduled transmissions
+    pub(crate) budgets: LinkBudgets,
 }
 
 impl<'a> Simulator<'a> {
@@ -189,12 +198,26 @@ impl<'a> Simulator<'a> {
         // later-hop transmissions never matched the job's progress and
         // silently never fired.)
         let flow_links: Vec<Vec<DirectedLink>> = flows.iter().map(wsan_flow::Flow::links).collect();
+        let mut scheduled_links: Vec<DirectedLink> =
+            schedule.entries().iter().map(|e| e.tx.link).collect();
+        scheduled_links.sort();
+        scheduled_links.dedup();
+        let path = PathLoss::new(topo);
+        let mut budgets = LinkBudgets::new(&path, channels, &scheduled_links);
+        let mut members: Vec<DirectedLink> = Vec::new();
         let mut per_slot: Vec<Vec<SlotTx>> = vec![Vec::new(); horizon as usize];
         for slot in 0..horizon {
             for offset in 0..schedule.channel_count() {
                 let cell = schedule.cell(slot, offset);
                 let reuse = cell.len() > 1;
-                for tx in cell {
+                let cell_start = if reuse {
+                    members.clear();
+                    members.extend(cell.iter().map(|tx| tx.link));
+                    budgets.push_cell(&path, channels, &members)
+                } else {
+                    0
+                };
+                for (cell_pos, tx) in cell.iter().enumerate() {
                     let fi = tx.flow.index();
                     let hop_index = flow_links[fi].iter().position(|l| *l == tx.link).ok_or(
                         SimError::LinkNotOnRoute {
@@ -202,22 +225,24 @@ impl<'a> Simulator<'a> {
                             link: (tx.link.tx.index(), tx.link.rx.index()),
                         },
                     )? as u32;
+                    let link_idx = scheduled_links
+                        .binary_search(&tx.link)
+                        .expect("scheduled_links lists every entry's link");
                     per_slot[slot as usize].push(SlotTx {
                         offset,
                         link: tx.link,
+                        link_idx,
                         job_flat: job_base[fi] + tx.job_index as usize,
                         hop_index,
                         reuse,
+                        cell_pos,
+                        cell_row: cell_start + cell_pos * cell.len(),
                     });
                 }
             }
         }
         let busy_slots: Vec<u32> =
             (0..horizon).filter(|&s| !per_slot[s as usize].is_empty()).collect();
-        let mut scheduled_links: Vec<DirectedLink> =
-            schedule.entries().iter().map(|e| e.tx.link).collect();
-        scheduled_links.sort();
-        scheduled_links.dedup();
         Ok(Simulator {
             topo,
             channels,
@@ -231,6 +256,7 @@ impl<'a> Simulator<'a> {
             job_release,
             scheduled_links,
             busy_slots,
+            budgets,
         })
     }
 
@@ -422,9 +448,8 @@ impl<'a> Simulator<'a> {
     fn run_impl(
         &self,
         config: &SimConfig,
-        mut trace: Option<&mut crate::TraceBuffer>,
+        trace: Option<&mut TraceBuffer>,
     ) -> (SimReport, FaultLog) {
-        let metrics = wsan_obs::metrics_enabled().then(SimMetrics::new);
         let _span = wsan_obs::span(
             wsan_obs::Level::Debug,
             "sim.run",
@@ -438,30 +463,14 @@ impl<'a> Simulator<'a> {
                 Vec::new()
             },
         );
-        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut core = RunCore::new(self, config, &config.faults, trace);
         let mut injector = FaultInjector::new(&config.faults);
-        let phy = Phy::new(self.topo, config.capture);
-        let mut flow_stats = vec![FlowStats::default(); self.flows.len()];
-        let mut window_acc: BTreeMap<(DirectedLink, LinkCondition), PrrSample> = BTreeMap::new();
-        let mut report = SimReport {
-            flows: Vec::new(),
-            link_samples: BTreeMap::new(),
-            latencies: vec![Vec::new(); self.flows.len()],
-        };
-        let window = config.window_reps.max(1);
-
-        let mut progress = vec![0u32; self.total_jobs];
-        // Scratch buffers reused across every slot of every repetition: the
-        // per-slot loop allocates nothing after the first iteration. RNG
-        // draw order is identical to the historical collect-per-slot code
-        // (pinned by the golden-report test).
-        let mut spawned: Vec<WifiInterferer> = Vec::new();
+        // Duty-gate buffers reused across every slot of every repetition:
+        // the per-slot loop allocates nothing after the first iteration.
+        // Spawned interferers are carried as fault-plan event indices.
+        let mut spawned: Vec<usize> = Vec::new();
         let mut env_active: Vec<bool> = vec![false; config.interferers.len()];
-        let mut actives: Vec<&SlotTx> = Vec::new();
-        let mut advanced: Vec<usize> = Vec::new();
-        let mut interferers: Vec<NodeId> = Vec::new();
         for rep in 0..config.repetitions {
-            progress.fill(0);
             for slot in 0..self.horizon {
                 let asn = u64::from(rep) * u64::from(self.horizon) + u64::from(slot);
                 injector.advance(asn);
@@ -470,194 +479,21 @@ impl<'a> Simulator<'a> {
                 // perturbs the fault-free stream); injected interferers
                 // gate on the injector's own RNG.
                 injector.sample_spawned_wifi_into(&mut spawned);
-                for (i, w) in config.interferers.iter().enumerate() {
-                    let duty = rng.gen::<f64>() < w.duty_cycle;
-                    env_active[i] = duty && !injector.interferer_silenced(i);
-                }
-                let batch_started = (metrics.is_some() && !self.per_slot[slot as usize].is_empty())
-                    .then(std::time::Instant::now);
-                // Which scheduled transmissions actually fire this slot?
-                // A crashed sender transmits nothing at all.
-                actives.clear();
-                actives.extend(self.per_slot[slot as usize].iter().filter(|t| {
-                    progress[t.job_flat] == t.hop_index && !injector.node_down(t.link.tx)
-                }));
-                // Resolve receptions against the slot-start active set.
-                advanced.clear();
-                for t in &actives {
-                    let channel = self.channels.physical(asn, t.offset);
-                    interferers.clear();
-                    interferers.extend(
-                        actives
-                            .iter()
-                            .filter(|o| o.offset == t.offset && o.job_flat != t.job_flat)
-                            .map(|o| o.link.tx),
-                    );
-                    let active_wifi = config
-                        .interferers
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| env_active[*i])
-                        .map(|(_, w)| w)
-                        .chain(spawned.iter());
-                    let external = phy.external_mw(t.link.rx, channel, active_wifi);
-                    // temporal fading perturbs the SIR only when there is
-                    // interference to compete with
-                    let fading = if interferers.is_empty() && external <= 0.0 {
-                        0.0
-                    } else {
-                        config.capture.fading.sample_db(&mut rng)
-                    };
-                    // A crashed receiver hears (and acknowledges) nothing;
-                    // a collapsed link caps the base PRR the PHY sees.
-                    let p = if injector.node_down(t.link.rx) {
-                        0.0
-                    } else {
-                        phy.success_probability_faulted(
-                            t.link.tx,
-                            t.link.rx,
-                            channel,
-                            &interferers,
-                            external,
-                            fading,
-                            injector.link_prr_override(t.link, channel),
-                        )
-                    };
-                    let success = rng.gen::<f64>() < p;
-                    if let Some(buf) = trace.as_deref_mut() {
-                        buf.push(crate::TraceEvent::Attempt {
-                            asn,
-                            link: t.link,
-                            flow: self
-                                .flows
-                                .flow(wsan_flow::FlowId::new(self.job_flow[t.job_flat]))
-                                .id(),
-                            interferers: interferers.len(),
-                            success,
-                        });
-                    }
-                    let cond =
-                        if t.reuse { LinkCondition::Reuse } else { LinkCondition::ContentionFree };
-                    let sample = window_acc.entry((t.link, cond)).or_default();
-                    sample.sent += 1;
-                    if success {
-                        sample.acked += 1;
-                        advanced.push(t.job_flat);
-                    }
-                    if let Some(m) = &metrics {
-                        m.tx.inc();
-                        if success {
-                            m.ack.inc();
-                        } else if !interferers.is_empty() || external > 0.0 {
-                            // a loss with competing energy in the air
-                            m.collisions.inc();
-                        }
-                    }
-                }
-                for &job in &advanced {
-                    progress[job] += 1;
-                    // record delivery latency the moment the last hop lands
-                    if progress[job] == self.flow_hops[self.job_flow[job]] {
-                        let latency = slot - self.job_release[job] + 1;
-                        report.latencies[self.job_flow[job]].push(latency);
-                        if let Some(m) = &metrics {
-                            m.deliveries.inc();
-                        }
-                        if let Some(buf) = trace.as_deref_mut() {
-                            buf.push(crate::TraceEvent::Delivered {
-                                asn,
-                                flow: wsan_flow::FlowId::new(self.job_flow[job]),
-                                latency,
-                            });
-                        }
-                    }
-                }
-                if let (Some(m), Some(started)) = (&metrics, batch_started) {
-                    m.slot_batch_ns.record_nanos(started.elapsed());
-                }
+                core.draw_environment_gates(&injector, &mut env_active);
+                core.slot(slot, asn, &injector, &env_active, &spawned);
             }
             // neighbor-discovery probes: contention-free, cycling channels
             for _ in 0..config.discovery_probes {
-                for (i, link) in self.scheduled_links.iter().enumerate() {
-                    let channel = self.channels.at((rep as usize + i) % self.channels.len());
+                for link in 0..self.scheduled_links.len() {
                     injector.sample_spawned_wifi_into(&mut spawned);
-                    for (idx, w) in config.interferers.iter().enumerate() {
-                        let duty = rng.gen::<f64>() < w.duty_cycle;
-                        env_active[idx] = duty && !injector.interferer_silenced(idx);
-                    }
-                    let wifi_active = config
-                        .interferers
-                        .iter()
-                        .enumerate()
-                        .filter(|(idx, _)| env_active[*idx])
-                        .map(|(_, w)| w)
-                        .chain(spawned.iter());
-                    let external = phy.external_mw(link.rx, channel, wifi_active);
-                    let fading = if external <= 0.0 {
-                        0.0
-                    } else {
-                        config.capture.fading.sample_db(&mut rng)
-                    };
-                    // a crashed sender probes nothing; a crashed receiver
-                    // acknowledges nothing — probes see faults exactly like
-                    // data slots so the §VI classifier gets honest CF samples
-                    if injector.node_down(link.tx) {
-                        continue;
-                    }
-                    let p = if injector.node_down(link.rx) {
-                        0.0
-                    } else {
-                        phy.success_probability_faulted(
-                            link.tx,
-                            link.rx,
-                            channel,
-                            &[],
-                            external,
-                            fading,
-                            injector.link_prr_override(*link, channel),
-                        )
-                    };
-                    let sample =
-                        window_acc.entry((*link, LinkCondition::ContentionFree)).or_default();
-                    sample.sent += 1;
-                    if rng.gen::<f64>() < p {
-                        sample.acked += 1;
-                    }
+                    core.draw_environment_gates(&injector, &mut env_active);
+                    core.probe(rep, link, &injector, &env_active, &spawned);
                 }
             }
-            // account deliveries
-            for (fi, flow) in self.flows.iter().enumerate() {
-                let jobs = self.horizon.div_ceil(flow.period().slots()) as usize;
-                for j in 0..jobs {
-                    flow_stats[fi].released += 1;
-                    if progress[self.job_base[fi] + j] >= self.flow_hops[fi] {
-                        flow_stats[fi].delivered += 1;
-                    } else {
-                        if let Some(m) = &metrics {
-                            m.expiries.inc();
-                        }
-                        if let Some(buf) = trace.as_deref_mut() {
-                            buf.push(crate::TraceEvent::Expired {
-                                asn: u64::from(rep) * u64::from(self.horizon)
-                                    + u64::from(self.horizon - 1),
-                                flow: wsan_flow::FlowId::new(fi),
-                            });
-                        }
-                    }
-                }
-            }
-            // flush sample windows
-            if (rep + 1) % window == 0 {
-                flush(&mut window_acc, &mut report, metrics.as_ref());
-            }
+            core.end_repetition(rep);
         }
-        flush(&mut window_acc, &mut report, metrics.as_ref());
-        report.flows = flow_stats;
         let log = injector.into_log();
-        if let Some(m) = &metrics {
-            m.fault_events.add(log.fired() as u64);
-            SimMetrics::record_flow_gauges(&report);
-        }
+        let report = core.finish(&log);
         if wsan_obs::enabled(wsan_obs::Level::Info) {
             wsan_obs::event(
                 wsan_obs::Level::Info,
@@ -673,28 +509,313 @@ impl<'a> Simulator<'a> {
     }
 }
 
-pub(crate) fn flush(
-    acc: &mut BTreeMap<(DirectedLink, LinkCondition), PrrSample>,
-    report: &mut SimReport,
-    metrics: Option<&SimMetrics>,
-) {
-    for (key, sample) in std::mem::take(acc) {
-        if sample.sent > 0 {
-            if let Some(m) = metrics {
-                // one PRR observation per flushed window sample
-                m.prr.observe(f64::from(sample.acked) / f64::from(sample.sent));
-            }
-            report.link_samples.entry(key).or_default().push(sample);
+/// The two conditions in [`LinkCondition`]'s order: a sample window holds
+/// one sample per (scheduled link, condition), link-major, so ascending
+/// window positions follow the `(DirectedLink, LinkCondition)` key order of
+/// [`SimReport::link_samples`].
+const CONDITIONS: [LinkCondition; 2] = [LinkCondition::ContentionFree, LinkCondition::Reuse];
+
+/// Window position of scheduled link `link` under `condition`.
+fn window_index(link: usize, condition: LinkCondition) -> usize {
+    CONDITIONS.len() * link + condition as usize
+}
+
+/// The state of one run that both engines share: the main RNG stream
+/// (fading and success draws), the run's WiFi budgets, job progress, the
+/// open PRR sample window and the report being built. The engines differ
+/// only in how they walk time and draw duty gates; every attempt is
+/// resolved here, in the slot-stepper's draw order.
+pub(crate) struct RunCore<'s, 'w, 't> {
+    sim: &'s Simulator<'w>,
+    config: &'s SimConfig,
+    phy: Phy,
+    wifi: WifiBudgets,
+    rng: StdRng,
+    /// Per (scheduled link, condition), see [`window_index`].
+    window: Vec<PrrSample>,
+    window_reps: u32,
+    progress: Vec<u32>,
+    flow_stats: Vec<FlowStats>,
+    report: SimReport,
+    // Per-slot scratch, reused so the hot loop allocates nothing.
+    actives: Vec<&'s SlotTx>,
+    advanced: Vec<usize>,
+    interferer_mw: Vec<f64>,
+    trace: Option<&'t mut TraceBuffer>,
+    metrics: Option<SimMetrics>,
+}
+
+impl<'s, 'w, 't> RunCore<'s, 'w, 't> {
+    /// Starts a run of `config` whose injector executes `plan`.
+    pub(crate) fn new(
+        sim: &'s Simulator<'w>,
+        config: &'s SimConfig,
+        plan: &FaultPlan,
+        trace: Option<&'t mut TraceBuffer>,
+    ) -> Self {
+        let path = PathLoss::new(sim.topo);
+        RunCore {
+            sim,
+            config,
+            phy: Phy::new(config.capture),
+            wifi: WifiBudgets::new(
+                &path,
+                sim.channels,
+                &sim.scheduled_links,
+                &config.interferers,
+                plan,
+            ),
+            rng: StdRng::seed_from_u64(config.seed),
+            window: vec![PrrSample::default(); CONDITIONS.len() * sim.scheduled_links.len()],
+            window_reps: config.window_reps.max(1),
+            progress: vec![0; sim.total_jobs],
+            flow_stats: vec![FlowStats::default(); sim.flows.len()],
+            report: SimReport {
+                flows: Vec::new(),
+                link_samples: BTreeMap::new(),
+                latencies: vec![Vec::new(); sim.flows.len()],
+            },
+            actives: Vec::new(),
+            advanced: Vec::new(),
+            interferer_mw: Vec::new(),
+            trace,
+            metrics: wsan_obs::metrics_enabled().then(SimMetrics::new),
         }
+    }
+
+    /// The slot-stepper's environment duty gates: one main-stream draw
+    /// per interferer, silenced or not.
+    pub(crate) fn draw_environment_gates(&mut self, injector: &FaultInjector, active: &mut [bool]) {
+        for (i, w) in self.config.interferers.iter().enumerate() {
+            let duty = self.rng.gen::<f64>() < w.duty_cycle;
+            active[i] = duty && !injector.interferer_silenced(i);
+        }
+    }
+
+    /// Resolves the scheduled transmissions of slotframe slot `slot` at
+    /// absolute slot `asn`, with the environment interferers flagged in
+    /// `env_active` and the spawned ones (fault-plan event indices) in
+    /// `spawned` on the air.
+    pub(crate) fn slot(
+        &mut self,
+        slot: u32,
+        asn: u64,
+        injector: &FaultInjector,
+        env_active: &[bool],
+        spawned: &[usize],
+    ) {
+        let sim = self.sim;
+        let txs = &sim.per_slot[slot as usize];
+        if txs.is_empty() {
+            return;
+        }
+        let batch_started = self.metrics.is_some().then(std::time::Instant::now);
+        // Which scheduled transmissions actually fire this slot?
+        // A crashed sender transmits nothing at all.
+        let progress = &self.progress;
+        self.actives.clear();
+        self.actives.extend(
+            txs.iter()
+                .filter(|t| progress[t.job_flat] == t.hop_index && !injector.node_down(t.link.tx)),
+        );
+        // Resolve receptions against the slot-start active set.
+        self.advanced.clear();
+        for t in &self.actives {
+            let ch = sim.channels.physical_index(asn, t.offset);
+            // co-cell senders in `actives` order: the summation order is
+            // part of the bit-equality contract (DESIGN.md §13)
+            self.interferer_mw.clear();
+            if t.reuse {
+                self.interferer_mw.extend(
+                    self.actives
+                        .iter()
+                        .filter(|o| o.offset == t.offset && o.job_flat != t.job_flat)
+                        .map(|o| sim.budgets.co_cell_mw(t.cell_row, o.cell_pos, ch)),
+                );
+            }
+            let external = self.wifi.external_mw(t.link_idx, ch, env_active, spawned);
+            // temporal fading perturbs the SIR only when there is
+            // interference to compete with
+            let fading = if self.interferer_mw.is_empty() && external <= 0.0 {
+                0.0
+            } else {
+                self.config.capture.fading.sample_db(&mut self.rng)
+            };
+            // A crashed receiver hears (and acknowledges) nothing;
+            // a collapsed link caps the base PRR the PHY sees.
+            let p = if injector.node_down(t.link.rx) {
+                0.0
+            } else {
+                self.phy.success_probability(
+                    sim.budgets.prr(t.link_idx, ch),
+                    injector.link_prr_override(t.link, sim.channels.at(ch)),
+                    sim.budgets.signal_mw(t.link_idx, ch),
+                    &self.interferer_mw,
+                    external,
+                    fading,
+                )
+            };
+            let success = self.rng.gen::<f64>() < p;
+            if let Some(buf) = self.trace.as_deref_mut() {
+                buf.push(TraceEvent::Attempt {
+                    asn,
+                    link: t.link,
+                    flow: sim.flows.flow(wsan_flow::FlowId::new(sim.job_flow[t.job_flat])).id(),
+                    interferers: self.interferer_mw.len(),
+                    success,
+                });
+            }
+            let cond = if t.reuse { LinkCondition::Reuse } else { LinkCondition::ContentionFree };
+            let sample = &mut self.window[window_index(t.link_idx, cond)];
+            sample.sent += 1;
+            if success {
+                sample.acked += 1;
+                self.advanced.push(t.job_flat);
+            }
+            if let Some(m) = &self.metrics {
+                m.tx.inc();
+                if success {
+                    m.ack.inc();
+                } else if !self.interferer_mw.is_empty() || external > 0.0 {
+                    // a loss with competing energy in the air
+                    m.collisions.inc();
+                }
+            }
+        }
+        for &job in &self.advanced {
+            self.progress[job] += 1;
+            // record delivery latency the moment the last hop lands
+            if self.progress[job] == sim.flow_hops[sim.job_flow[job]] {
+                let latency = slot - sim.job_release[job] + 1;
+                self.report.latencies[sim.job_flow[job]].push(latency);
+                if let Some(m) = &self.metrics {
+                    m.deliveries.inc();
+                }
+                if let Some(buf) = self.trace.as_deref_mut() {
+                    buf.push(TraceEvent::Delivered {
+                        asn,
+                        flow: wsan_flow::FlowId::new(sim.job_flow[job]),
+                        latency,
+                    });
+                }
+            }
+        }
+        if let (Some(m), Some(started)) = (&self.metrics, batch_started) {
+            m.slot_batch_ns.record_nanos(started.elapsed());
+        }
+    }
+
+    /// One contention-free neighbor-discovery probe on scheduled link
+    /// `link` in repetition `rep`, on the channel its probes cycle to.
+    pub(crate) fn probe(
+        &mut self,
+        rep: u32,
+        link: usize,
+        injector: &FaultInjector,
+        env_active: &[bool],
+        spawned: &[usize],
+    ) {
+        let sim = self.sim;
+        let probed = sim.scheduled_links[link];
+        let ch = (rep as usize + link) % sim.channels.len();
+        let external = self.wifi.external_mw(link, ch, env_active, spawned);
+        let fading =
+            if external <= 0.0 { 0.0 } else { self.config.capture.fading.sample_db(&mut self.rng) };
+        // a crashed sender probes nothing; a crashed receiver acknowledges
+        // nothing — probes see faults exactly like data slots so the §VI
+        // classifier gets honest CF samples
+        if injector.node_down(probed.tx) {
+            return;
+        }
+        let p = if injector.node_down(probed.rx) {
+            0.0
+        } else {
+            self.phy.success_probability(
+                sim.budgets.prr(link, ch),
+                injector.link_prr_override(probed, sim.channels.at(ch)),
+                sim.budgets.signal_mw(link, ch),
+                &[],
+                external,
+                fading,
+            )
+        };
+        let sample = &mut self.window[window_index(link, LinkCondition::ContentionFree)];
+        sample.sent += 1;
+        if self.rng.gen::<f64>() < p {
+            sample.acked += 1;
+        }
+    }
+
+    /// End-of-repetition bookkeeping: delivery accounting, a fresh job
+    /// progress, and the window flush at window boundaries.
+    pub(crate) fn end_repetition(&mut self, rep: u32) {
+        let sim = self.sim;
+        for (fi, flow) in sim.flows.iter().enumerate() {
+            let jobs = sim.horizon.div_ceil(flow.period().slots()) as usize;
+            for j in 0..jobs {
+                self.flow_stats[fi].released += 1;
+                if self.progress[sim.job_base[fi] + j] >= sim.flow_hops[fi] {
+                    self.flow_stats[fi].delivered += 1;
+                } else {
+                    if let Some(m) = &self.metrics {
+                        m.expiries.inc();
+                    }
+                    if let Some(buf) = self.trace.as_deref_mut() {
+                        buf.push(TraceEvent::Expired {
+                            asn: u64::from(rep) * u64::from(sim.horizon)
+                                + u64::from(sim.horizon - 1),
+                            flow: wsan_flow::FlowId::new(fi),
+                        });
+                    }
+                }
+            }
+        }
+        self.progress.fill(0);
+        if (rep + 1).is_multiple_of(self.window_reps) {
+            self.flush();
+        }
+    }
+
+    /// Appends every window sample that saw a transmission to the report,
+    /// in key order, and opens a new window.
+    fn flush(&mut self) {
+        for (i, sample) in self.window.iter_mut().enumerate() {
+            let sample = std::mem::take(sample);
+            if sample.sent > 0 {
+                if let Some(m) = &self.metrics {
+                    // one PRR observation per flushed window sample
+                    m.prr.observe(f64::from(sample.acked) / f64::from(sample.sent));
+                }
+                let key = (
+                    self.sim.scheduled_links[i / CONDITIONS.len()],
+                    CONDITIONS[i % CONDITIONS.len()],
+                );
+                self.report.link_samples.entry(key).or_default().push(sample);
+            }
+        }
+    }
+
+    /// Flushes the last window and returns the report of a run whose
+    /// injector logged `log`.
+    pub(crate) fn finish(mut self, log: &FaultLog) -> SimReport {
+        self.flush();
+        self.report.flows = self.flow_stats;
+        if let Some(m) = &self.metrics {
+            m.fault_events.add(log.fired() as u64);
+            SimMetrics::record_flow_gauges(&self.report);
+        }
+        self.report
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WifiInterferer;
     use wsan_core::{NetworkModel, NoReuse, ReuseAggressively, Scheduler};
     use wsan_flow::{priority, Flow, FlowId, Period};
     use wsan_net::propagation::PropagationModel;
+    use wsan_net::NodeId;
     use wsan_net::{ChannelId, Position, Prr, Route};
 
     fn n(i: usize) -> NodeId {
@@ -998,6 +1119,7 @@ mod segment_tests {
     use wsan_core::{NetworkModel, NoReuse, Scheduler};
     use wsan_flow::{priority, Flow, FlowId, Period};
     use wsan_net::propagation::PropagationModel;
+    use wsan_net::NodeId;
     use wsan_net::{ChannelId, Position, Prr, Route};
 
     fn n(i: usize) -> NodeId {
@@ -1109,6 +1231,7 @@ mod latency_tracking_tests {
     use wsan_core::{NetworkModel, NoReuse, Scheduler};
     use wsan_flow::{priority, Flow, FlowId, Period};
     use wsan_net::propagation::PropagationModel;
+    use wsan_net::NodeId;
     use wsan_net::{ChannelId, Position, Prr, Route};
 
     #[test]
@@ -1143,10 +1266,10 @@ mod latency_tracking_tests {
 #[cfg(test)]
 mod trace_tests {
     use super::*;
-    use crate::{TraceBuffer, TraceEvent};
     use wsan_core::{NetworkModel, NoReuse, Scheduler};
     use wsan_flow::{priority, Flow, FlowId, Period};
     use wsan_net::propagation::PropagationModel;
+    use wsan_net::NodeId;
     use wsan_net::{ChannelId, Position, Prr, Route};
 
     #[test]

@@ -37,18 +37,13 @@
 //!   streams and are *statistically* equivalent — pinned by the K-S suite in
 //!   `tests/engine_equivalence.rs`.
 
-use crate::engine::{flush, SimMetrics, Simulator, SlotTx};
+use crate::engine::{RunCore, Simulator};
 use crate::faults::{mix64, FaultInjector, FaultKind, FaultLog};
-use crate::phy::Phy;
-use crate::{
-    FlowStats, LinkCondition, PrrSample, SimConfig, SimReport, TraceBuffer, TraceEvent,
-    WifiInterferer,
-};
+use crate::{SimConfig, SimReport, TraceBuffer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
-use wsan_net::{DirectedLink, NodeId};
+use std::collections::BinaryHeap;
 
 /// Salt of the per-interferer environment duty-gate streams.
 const ENV_DUTY_SALT: u64 = 0xE57_D077;
@@ -95,7 +90,6 @@ pub(crate) fn run(
     config: &SimConfig,
     trace: Option<&mut TraceBuffer>,
 ) -> (SimReport, FaultLog) {
-    let metrics = wsan_obs::metrics_enabled().then(SimMetrics::new);
     let _span = wsan_obs::span(
         wsan_obs::Level::Debug,
         "sim.run_events",
@@ -116,8 +110,7 @@ pub(crate) fn run(
     let mut run = EventRun {
         sim,
         config,
-        phy: Phy::new(sim.topo, config.capture),
-        rng: StdRng::seed_from_u64(config.seed),
+        core: RunCore::new(sim, config, &resolved, trace),
         injector: FaultInjector::new(&resolved),
         env_streams: (0..config.interferers.len())
             .map(|i| StdRng::seed_from_u64(mix64(config.seed, ENV_DUTY_SALT ^ i as u64)))
@@ -132,22 +125,8 @@ pub(crate) fn run(
                 })
             })
             .collect(),
-        flow_stats: vec![FlowStats::default(); sim.flows.len()],
-        window_acc: BTreeMap::new(),
-        report: SimReport {
-            flows: Vec::new(),
-            link_samples: BTreeMap::new(),
-            latencies: vec![Vec::new(); sim.flows.len()],
-        },
-        window: config.window_reps.max(1),
-        progress: vec![0u32; sim.total_jobs],
         spawned: Vec::new(),
         env_active: vec![false; config.interferers.len()],
-        actives: Vec::new(),
-        advanced: Vec::new(),
-        interferers: Vec::new(),
-        trace,
-        metrics,
     };
     let mut queue: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
     if config.repetitions > 0 {
@@ -186,7 +165,7 @@ pub(crate) fn run(
         match ev.kind {
             EventKind::FaultChange => run.injector.advance(ev.asn),
             EventKind::SlotBatch => {
-                run.slot_batch(ev.rep, ev.busy_idx, ev.asn);
+                run.slot_batch(sim.busy_slots[ev.busy_idx], ev.asn);
                 // the transmission component re-arms itself for its next
                 // busy slot (FlowForge ComponentSlot style)
                 if ev.busy_idx + 1 < sim.busy_slots.len() {
@@ -203,7 +182,6 @@ pub(crate) fn run(
                 run.rep_boundary(ev.rep);
                 let next = ev.rep + 1;
                 if next < config.repetitions {
-                    run.progress.fill(0);
                     queue.push(Reverse(Event {
                         asn: (u64::from(next) + 1) * horizon,
                         kind: EventKind::RepBoundary,
@@ -225,35 +203,26 @@ pub(crate) fn run(
     run.finish()
 }
 
-/// The mutable state of one event-driven run. Mirrors the local variables of
-/// `run_impl`; splitting it out lets the queue loop above stay readable.
+/// The state of one event-driven run: the shared run core plus the
+/// event engine's own duty-gate streams and resolved fault injector.
 struct EventRun<'s, 'w, 't> {
     sim: &'s Simulator<'w>,
     config: &'s SimConfig,
-    phy: Phy<'w>,
-    /// Main stream: fading + success draws, in slot-stepper order.
-    rng: StdRng,
+    /// Main stream (fading and success draws, in slot-stepper order),
+    /// sample window and report.
+    core: RunCore<'s, 'w, 't>,
     /// Driven on the *resolved* plan, only at change slots.
     injector: FaultInjector,
     /// One duty-gate stream per environment interferer.
     env_streams: Vec<StdRng>,
     /// One duty-gate stream per `SpawnInterferer` plan event (by index).
     spawn_streams: Vec<Option<StdRng>>,
-    flow_stats: Vec<FlowStats>,
-    window_acc: BTreeMap<(DirectedLink, LinkCondition), PrrSample>,
-    report: SimReport,
-    window: u32,
-    progress: Vec<u32>,
-    spawned: Vec<WifiInterferer>,
+    /// Fault-plan event indices of the spawned interferers on the air.
+    spawned: Vec<usize>,
     env_active: Vec<bool>,
-    actives: Vec<&'s SlotTx>,
-    advanced: Vec<usize>,
-    interferers: Vec<NodeId>,
-    trace: Option<&'t mut TraceBuffer>,
-    metrics: Option<SimMetrics>,
 }
 
-impl<'s> EventRun<'s, '_, '_> {
+impl EventRun<'_, '_, '_> {
     /// Refills the duty-gate state (spawned and environment interferers)
     /// from the dedicated streams. The slot-stepper draws these from the
     /// injector / main RNG once per slot; under the draw-order contract both
@@ -264,7 +233,7 @@ impl<'s> EventRun<'s, '_, '_> {
             let stream = self.spawn_streams[i].as_mut().expect("spawn event has a duty stream");
             let u: f64 = stream.gen();
             if u < w.duty_cycle {
-                self.spawned.push(w.clone());
+                self.spawned.push(i);
             }
         }
         for i in 0..self.config.interferers.len() {
@@ -274,216 +243,41 @@ impl<'s> EventRun<'s, '_, '_> {
         }
     }
 
-    /// Resolves every transmission scheduled in busy slot `busy_idx` of
-    /// repetition `rep`. Body is the slot-stepper's per-slot block.
-    fn slot_batch(&mut self, _rep: u32, busy_idx: usize, asn: u64) {
-        let batch_started = self.metrics.is_some().then(std::time::Instant::now);
-        let slot = self.sim.busy_slots[busy_idx];
+    /// Resolves every transmission scheduled in slotframe slot `slot` at
+    /// absolute slot `asn`.
+    fn slot_batch(&mut self, slot: u32, asn: u64) {
         self.sample_duty_gates();
-        // Which scheduled transmissions actually fire this slot?
-        // A crashed sender transmits nothing at all.
-        self.actives.clear();
-        let progress = &self.progress;
-        let injector = &self.injector;
-        self.actives.extend(
-            self.sim.per_slot[slot as usize]
-                .iter()
-                .filter(|t| progress[t.job_flat] == t.hop_index && !injector.node_down(t.link.tx)),
-        );
-        // Resolve receptions against the slot-start active set.
-        self.advanced.clear();
-        for t in &self.actives {
-            let channel = self.sim.channels.physical(asn, t.offset);
-            self.interferers.clear();
-            self.interferers.extend(
-                self.actives
-                    .iter()
-                    .filter(|o| o.offset == t.offset && o.job_flat != t.job_flat)
-                    .map(|o| o.link.tx),
-            );
-            let active_wifi = self
-                .config
-                .interferers
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| self.env_active[*i])
-                .map(|(_, w)| w)
-                .chain(self.spawned.iter());
-            let external = self.phy.external_mw(t.link.rx, channel, active_wifi);
-            // temporal fading perturbs the SIR only when there is
-            // interference to compete with
-            let fading = if self.interferers.is_empty() && external <= 0.0 {
-                0.0
-            } else {
-                self.config.capture.fading.sample_db(&mut self.rng)
-            };
-            // A crashed receiver hears (and acknowledges) nothing;
-            // a collapsed link caps the base PRR the PHY sees.
-            let p = if self.injector.node_down(t.link.rx) {
-                0.0
-            } else {
-                self.phy.success_probability_faulted(
-                    t.link.tx,
-                    t.link.rx,
-                    channel,
-                    &self.interferers,
-                    external,
-                    fading,
-                    self.injector.link_prr_override(t.link, channel),
-                )
-            };
-            let success = self.rng.gen::<f64>() < p;
-            if let Some(buf) = self.trace.as_deref_mut() {
-                buf.push(TraceEvent::Attempt {
-                    asn,
-                    link: t.link,
-                    flow: self
-                        .sim
-                        .flows
-                        .flow(wsan_flow::FlowId::new(self.sim.job_flow[t.job_flat]))
-                        .id(),
-                    interferers: self.interferers.len(),
-                    success,
-                });
-            }
-            let cond = if t.reuse { LinkCondition::Reuse } else { LinkCondition::ContentionFree };
-            let sample = self.window_acc.entry((t.link, cond)).or_default();
-            sample.sent += 1;
-            if success {
-                sample.acked += 1;
-                self.advanced.push(t.job_flat);
-            }
-            if let Some(m) = &self.metrics {
-                m.tx.inc();
-                if success {
-                    m.ack.inc();
-                } else if !self.interferers.is_empty() || external > 0.0 {
-                    // a loss with competing energy in the air
-                    m.collisions.inc();
-                }
-            }
-        }
-        for i in 0..self.advanced.len() {
-            let job = self.advanced[i];
-            self.progress[job] += 1;
-            // record delivery latency the moment the last hop lands
-            if self.progress[job] == self.sim.flow_hops[self.sim.job_flow[job]] {
-                let latency = slot - self.sim.job_release[job] + 1;
-                self.report.latencies[self.sim.job_flow[job]].push(latency);
-                if let Some(m) = &self.metrics {
-                    m.deliveries.inc();
-                }
-                if let Some(buf) = self.trace.as_deref_mut() {
-                    buf.push(TraceEvent::Delivered {
-                        asn,
-                        flow: wsan_flow::FlowId::new(self.sim.job_flow[job]),
-                        latency,
-                    });
-                }
-            }
-        }
-        if let (Some(m), Some(started)) = (&self.metrics, batch_started) {
-            m.slot_batch_ns.record_nanos(started.elapsed());
-        }
+        self.core.slot(slot, asn, &self.injector, &self.env_active, &self.spawned);
     }
 
-    /// End-of-repetition bookkeeping: discovery probes, delivery accounting,
-    /// window flushes. Body is the slot-stepper's per-repetition tail.
+    /// End-of-repetition bookkeeping: discovery probes, then delivery
+    /// accounting and window flushes.
     fn rep_boundary(&mut self, rep: u32) {
         // neighbor-discovery probes: contention-free, cycling channels
         for _ in 0..self.config.discovery_probes {
-            for i in 0..self.sim.scheduled_links.len() {
-                let link = self.sim.scheduled_links[i];
-                let channel = self.sim.channels.at((rep as usize + i) % self.sim.channels.len());
+            for link in 0..self.sim.scheduled_links.len() {
                 self.sample_duty_gates();
-                let wifi_active = self
-                    .config
-                    .interferers
-                    .iter()
-                    .enumerate()
-                    .filter(|(idx, _)| self.env_active[*idx])
-                    .map(|(_, w)| w)
-                    .chain(self.spawned.iter());
-                let external = self.phy.external_mw(link.rx, channel, wifi_active);
-                let fading = if external <= 0.0 {
-                    0.0
-                } else {
-                    self.config.capture.fading.sample_db(&mut self.rng)
-                };
-                // a crashed sender probes nothing; a crashed receiver
-                // acknowledges nothing — probes see faults exactly like
-                // data slots so the §VI classifier gets honest CF samples
-                if self.injector.node_down(link.tx) {
-                    continue;
-                }
-                let p = if self.injector.node_down(link.rx) {
-                    0.0
-                } else {
-                    self.phy.success_probability_faulted(
-                        link.tx,
-                        link.rx,
-                        channel,
-                        &[],
-                        external,
-                        fading,
-                        self.injector.link_prr_override(link, channel),
-                    )
-                };
-                let sample =
-                    self.window_acc.entry((link, LinkCondition::ContentionFree)).or_default();
-                sample.sent += 1;
-                if self.rng.gen::<f64>() < p {
-                    sample.acked += 1;
-                }
+                self.core.probe(rep, link, &self.injector, &self.env_active, &self.spawned);
             }
         }
-        // account deliveries
-        for (fi, flow) in self.sim.flows.iter().enumerate() {
-            let jobs = self.sim.horizon.div_ceil(flow.period().slots()) as usize;
-            for j in 0..jobs {
-                self.flow_stats[fi].released += 1;
-                if self.progress[self.sim.job_base[fi] + j] >= self.sim.flow_hops[fi] {
-                    self.flow_stats[fi].delivered += 1;
-                } else {
-                    if let Some(m) = &self.metrics {
-                        m.expiries.inc();
-                    }
-                    if let Some(buf) = self.trace.as_deref_mut() {
-                        buf.push(TraceEvent::Expired {
-                            asn: u64::from(rep) * u64::from(self.sim.horizon)
-                                + u64::from(self.sim.horizon - 1),
-                            flow: wsan_flow::FlowId::new(fi),
-                        });
-                    }
-                }
-            }
-        }
-        // flush sample windows
-        if (rep + 1).is_multiple_of(self.window) {
-            flush(&mut self.window_acc, &mut self.report, self.metrics.as_ref());
-        }
+        self.core.end_repetition(rep);
     }
 
-    fn finish(mut self) -> (SimReport, FaultLog) {
-        flush(&mut self.window_acc, &mut self.report, self.metrics.as_ref());
-        self.report.flows = self.flow_stats;
+    fn finish(self) -> (SimReport, FaultLog) {
         let log = self.injector.into_log();
-        if let Some(m) = &self.metrics {
-            m.fault_events.add(log.fired() as u64);
-            SimMetrics::record_flow_gauges(&self.report);
-        }
+        let report = self.core.finish(&log);
         if wsan_obs::enabled(wsan_obs::Level::Info) {
             wsan_obs::event(
                 wsan_obs::Level::Info,
                 "wsan_sim::events",
                 "event-driven run complete",
                 &[
-                    wsan_obs::kv("network_pdr", self.report.network_pdr()),
+                    wsan_obs::kv("network_pdr", report.network_pdr()),
                     wsan_obs::kv("faults_fired", log.fired()),
                 ],
             );
         }
-        (self.report, log)
+        (report, log)
     }
 }
 

@@ -465,21 +465,22 @@ impl FaultInjector {
             .any(|k| matches!(k, FaultKind::SilenceInterferer { index: i } if *i == index))
     }
 
-    /// Spawned interferers that pass their duty-cycle gate for this slot.
-    /// Draws come from the injector's RNG, never the engine's, so with no
-    /// spawned interferers this consumes nothing.
+    /// Event indices of the spawned interferers that pass their duty-cycle
+    /// gate for this slot. Draws come from the injector's RNG, never the
+    /// engine's, so with no spawned interferers this consumes nothing.
     #[cfg(test)]
-    pub fn sample_spawned_wifi(&mut self) -> Vec<WifiInterferer> {
-        let mut active: Vec<WifiInterferer> = Vec::new();
+    pub fn sample_spawned_wifi(&mut self) -> Vec<usize> {
+        let mut active = Vec::new();
         self.sample_spawned_wifi_into(&mut active);
         active
     }
 
-    /// Clears and refills a caller-owned buffer with the spawned interferers
-    /// that pass their duty-cycle gate for this slot, so per-slot hot loops
-    /// allocate nothing. Draws come from the injector's RNG, never the
-    /// engine's, so with no spawned interferers this consumes nothing.
-    pub fn sample_spawned_wifi_into(&mut self, active: &mut Vec<WifiInterferer>) {
+    /// Clears and refills a caller-owned buffer with the event indices of
+    /// the spawned interferers that pass their duty-cycle gate for this
+    /// slot, in event order, so per-slot hot loops allocate nothing. Draws
+    /// come from the injector's RNG, never the engine's, so with no spawned
+    /// interferers this consumes nothing.
+    pub fn sample_spawned_wifi_into(&mut self, active: &mut Vec<usize>) {
         active.clear();
         for i in 0..self.events.len() {
             if !matches!(self.status[i], EventStatus::Active { .. }) {
@@ -488,7 +489,7 @@ impl FaultInjector {
             if let FaultKind::SpawnInterferer { interferer } = &self.events[i].kind {
                 let u: f64 = self.rng.gen();
                 if u < interferer.duty_cycle {
-                    active.push(interferer.clone());
+                    active.push(i);
                 }
             }
         }
