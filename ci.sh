@@ -35,11 +35,11 @@ echo "==> shard routing-graph equivalence suite runs in the default pass"
 shard_list="$(cargo test -q --test scale_sharding -- --list)"
 echo "$shard_list" | grep -q "induced_comm_graph_matches_link_scan"
 
-echo "==> event-vs-oracle sim equivalence suite runs in the default pass"
+echo "==> busy-slot-vs-every-slot sim equivalence suite runs in the default pass"
 eq_list="$(cargo test -q -p wsan-sim --test engine_equivalence -- --list)"
 echo "$eq_list" | grep -q "dense_contract_run_is_byte_identical"
 echo "$eq_list" | grep -q "scheduled_faults_match_including_fault_log"
-echo "$eq_list" | grep -q "outside_contract_is_statistically_equivalent"
+echo "$eq_list" | grep -q "outside_contract_runs_every_slot"
 echo "$eq_list" | grep -q "random_contract_scenarios_are_byte_identical"
 
 echo "==> link-budget bit-equality suite and golden reports run in the default pass"
@@ -47,7 +47,7 @@ budget_list="$(cargo test -q -p wsan-sim --lib -- --list)"
 echo "$budget_list" | grep -q "table_path_is_bit_identical_to_the_position_formula"
 golden_list="$(cargo test -q -p wsan-sim --test golden_report -- --list)"
 echo "$golden_list" | grep -q "seeded_run_matches_golden_digest"
-echo "$golden_list" | grep -q "event_engine_run_matches_golden_digest"
+echo "$golden_list" | grep -q "contract_run_with_idle_slot_faults_matches_golden_digest"
 echo "$golden_list" | grep -q "aggressive_reuse_under_per_floor_wifi_matches_golden_digest"
 
 echo "==> release smoke run (fig6, tiny scale)"
@@ -243,16 +243,19 @@ grep -q '"quantiles"' "$sp_dir/metrics.json"
 grep -q '"gateway.request_us"' "$sp_dir/metrics.json"
 rm -rf "$sp_dir"
 
-echo "==> traced-vs-untraced determinism smoke (wsan simulate)"
+echo "==> traced-vs-untraced determinism smoke (wsan simulate, busy-slot and every-slot walks)"
 det_dir="$(mktemp -d)"
-./target/release/wsan simulate --testbed wustl --flows 8 --reps 5 --seed 3 \
-    --engine events > "$det_dir/plain.out"
-./target/release/wsan simulate --testbed wustl --flows 8 --reps 5 --seed 3 \
-    --engine events --log-level trace --log-format json \
-    --flightrec 4096 --flightrec-dump "$det_dir/dump.jsonl" \
-    --metrics-out "$det_dir/metrics.json" \
-    > "$det_dir/traced.out" 2> /dev/null
-cmp "$det_dir/plain.out" "$det_dir/traced.out"
+# without --wifi the run walks only busy slots; --wifi makes it walk every slot
+for wifi in "" "--wifi"; do
+    ./target/release/wsan simulate --testbed wustl --flows 8 --reps 5 --seed 3 \
+        $wifi > "$det_dir/plain.out"
+    ./target/release/wsan simulate --testbed wustl --flows 8 --reps 5 --seed 3 \
+        $wifi --log-level trace --log-format json \
+        --flightrec 4096 --flightrec-dump "$det_dir/dump.jsonl" \
+        --metrics-out "$det_dir/metrics.json" \
+        > "$det_dir/traced.out" 2> /dev/null
+    cmp "$det_dir/plain.out" "$det_dir/traced.out"
+done
 test -s "$det_dir/dump.jsonl"
 ./target/release/wsan trace export --in "$det_dir/dump.jsonl" \
     --out "$det_dir/trace.json" --chrome 2> /dev/null

@@ -1,21 +1,24 @@
 //! `sim_bench` — the tracked simulator-core benchmark.
 //!
-//! Times identical seeded runs through the slot-stepper and the
-//! event-driven engine on a dense schedule (every frame slot busy, where
-//! the engines should roughly tie) and a sparse long-horizon schedule
-//! (a few busy slots per 512-slot frame, where the event engine's
-//! skip-the-idle-slots design pays off), then writes `BENCH_sim.json`
-//! (median ns/run per engine, event-vs-stepper speedup, slot occupancy)
-//! so the perf trajectory is comparable across PRs. Both scenarios sit
-//! inside the draw-order contract of DESIGN.md §13, so the two engines'
-//! reports are also asserted byte-identical — the benchmark doubles as an
-//! equivalence smoke. Timed with [`wsan_bench::harness`], ordinary binary:
+//! Times identical seeded runs through the every-slot walk
+//! (`Simulator::try_run_every_slot`, the oracle) and through
+//! `Simulator::run`, which walks only the busy slots of these scenarios,
+//! on a dense schedule (18 of 100 frame slots busy) and a sparse
+//! long-horizon schedule (2 busy slots per 512-slot frame, where skipping
+//! idle slots pays off), then writes `BENCH_sim.json` (median ns/run per
+//! walk, their speedup, slot occupancy). Both scenarios sit inside the
+//! draw-order contract of DESIGN.md §13, so the two walks' reports are also
+//! asserted byte-identical — the benchmark doubles as an equivalence
+//! smoke. The schema tag and field names predate the single run loop
+//! (`slot_stepper_*` is the every-slot walk, `event_driven_*` is
+//! `Simulator::run`), so the tracked series stays comparable. Timed with
+//! [`wsan_bench::harness`], ordinary binary:
 //!
 //! ```sh
 //! cargo run --release -p wsan-bench --bin sim_bench [-- --iters 20 --quick --out PATH]
 //! ```
 //!
-//! * `--iters N` — timed runs per engine/scenario (default 20),
+//! * `--iters N` — timed runs per walk and scenario (default 20),
 //! * `--seed S` — simulation seed (default 42),
 //! * `--quick` — caps iterations at 3 for a smoke pass,
 //! * `--out PATH` — output path (default `results/BENCH_sim.json`).
@@ -44,15 +47,17 @@ struct ScenarioResult {
     horizon: u64,
     /// Distinct busy slots per hyperperiod.
     busy_slots: u64,
-    /// `busy_slots / horizon` — the event engine's work fraction.
+    /// `busy_slots / horizon` — the busy-slot walk's work fraction.
     occupancy: f64,
     repetitions: u64,
+    /// Median ns/run of the every-slot walk (the oracle).
     slot_stepper_median_ns: u64,
+    /// Median ns/run of `Simulator::run`, here the busy-slot walk.
     event_driven_median_ns: u64,
-    /// Median-over-median speedup of the event engine vs. the stepper —
-    /// the acceptance series (≥ 3x at ≤ 10% occupancy).
+    /// Median-over-median speedup of the busy-slot walk vs. the every-slot
+    /// walk — the acceptance series (≥ 3x at ≤ 10% occupancy).
     speedup_events_vs_slots: f64,
-    /// Every timed run of both engines produced the same report, byte for
+    /// Every timed run of both walks produced the same report, byte for
     /// byte (always true when the binary exits zero; recorded so the JSON
     /// is self-describing).
     reports_identical: bool,
@@ -71,8 +76,8 @@ fn n(i: usize) -> NodeId {
 }
 
 /// The dense scenario: the WUSTL synthetic testbed under conservative
-/// reuse — essentially every frame slot holds a transmission, so the event
-/// engine's batching buys little.
+/// reuse — 18 of 100 frame slots hold a transmission, so skipping the
+/// idle ones saves little.
 fn dense(seed: u64) -> Result<(Topology, ChannelSet, FlowSet, Schedule), BenchError> {
     let topo = testbeds::wustl(5);
     let channels = ChannelId::range(11, 14).map_err(|e| BenchError::Run(e.to_string()))?;
@@ -95,7 +100,7 @@ fn dense(seed: u64) -> Result<(Topology, ChannelSet, FlowSet, Schedule), BenchEr
 
 /// The sparse long-horizon scenario: two one-hop flows with 512-slot
 /// periods, so only two of the 512 slots per frame hold transmissions
-/// (< 1% occupancy) and the stepper wastes ~99% of its iterations.
+/// (< 1% occupancy) and the every-slot walk wastes ~99% of its iterations.
 fn sparse() -> Result<(Topology, ChannelSet, FlowSet, Schedule), BenchError> {
     let run = || -> Result<_, String> {
         let mut topo = Topology::new(
@@ -148,17 +153,19 @@ fn time_scenario(
     let busy: BTreeSet<u32> = schedule.entries().iter().map(|e| e.slot).collect();
     let horizon = u64::from(schedule.horizon());
     let occupancy = busy.len() as f64 / horizon as f64;
-    let (slots_median, oracle) = time_runs(&format!("{name} stepper"), iters, || sim.run(cfg))?;
-    let (events_median, events) =
-        time_runs(&format!("{name} events"), iters, || sim.run_events(cfg))?;
-    if oracle != events {
+    let (slots_median, oracle) = time_runs(&format!("{name} every-slot"), iters, || {
+        sim.try_run_every_slot(cfg, None).map(|(report, _)| report)
+    })?;
+    let (events_median, report) = time_runs(&format!("{name} run"), iters, || sim.try_run(cfg))?;
+    let oracle = oracle.map_err(|e| BenchError::Run(e.to_string()))?;
+    if report.map_err(|e| BenchError::Run(e.to_string()))? != oracle {
         return Err(BenchError::Run(format!(
-            "{name}: engines diverged inside the draw-order contract"
+            "{name}: the busy-slot walk diverged from the every-slot walk"
         )));
     }
     let speedup = slots_median as f64 / events_median as f64;
     println!(
-        "  {:>12}: {:>6.1}% occupancy  stepper {:>12} ns  events {:>12} ns  speedup {:.2}x",
+        "  {:>12}: {:>6.1}% occupancy  every-slot {:>12} ns  run {:>12} ns  speedup {:.2}x",
         name,
         occupancy * 100.0,
         slots_median,
@@ -182,7 +189,7 @@ fn time_scenario(
 fn main() -> ExitCode {
     run_main(|| {
         let opts = BenchArgs::try_parse(20, 3)?;
-        println!("== sim_bench: {} iters/engine, seed {} ==", opts.iters, opts.seed);
+        println!("== sim_bench: {} iters/walk, seed {} ==", opts.iters, opts.seed);
         let mut report = Report {
             schema: SCHEMA.to_string(),
             iters: opts.iters as u64,

@@ -10,9 +10,7 @@
 //! * `--quick` — shorthand for a fast smoke-scale run,
 //! * `--jobs N` — campaign worker threads (0 = one per core),
 //! * `--resume` — resume from the figure's checkpoint manifest instead of
-//!   recomputing finished sweep points,
-//! * `--engine slots|events` — simulation core for the campaigns that
-//!   execute simulator runs (schedulability-only figures ignore it).
+//!   recomputing finished sweep points.
 //!
 //! The tracked `*_bench` binaries take the flags of [`harness`] instead.
 //!
@@ -86,8 +84,6 @@ pub struct RunOptions {
     pub jobs: usize,
     /// Resume from the figure's checkpoint manifest.
     pub resume: bool,
-    /// Simulation core for the campaigns that execute simulator runs.
-    pub engine: wsan_sim::SimEngine,
 }
 
 impl RunOptions {
@@ -109,23 +105,15 @@ impl RunOptions {
         args: impl IntoIterator<Item = String>,
         default_sets: usize,
     ) -> Result<Self, BenchError> {
-        const USAGE: &str =
-            "supported: --sets N --seed S --quick --jobs N --resume --engine slots|events";
-        let mut options = RunOptions {
-            sets: default_sets,
-            seed: 1,
-            quick: false,
-            jobs: 0,
-            resume: false,
-            engine: wsan_sim::SimEngine::default(),
-        };
+        const USAGE: &str = "supported: --sets N --seed S --quick --jobs N --resume";
+        let mut options =
+            RunOptions { sets: default_sets, seed: 1, quick: false, jobs: 0, resume: false };
         let mut args = args.into_iter();
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--sets" => options.sets = flag_value("--sets", args.next(), USAGE)?,
                 "--seed" => options.seed = flag_value("--seed", args.next(), USAGE)?,
                 "--jobs" => options.jobs = flag_value("--jobs", args.next(), USAGE)?,
-                "--engine" => options.engine = flag_value("--engine", args.next(), USAGE)?,
                 "--resume" => options.resume = true,
                 "--quick" => {
                     options.quick = true;
@@ -141,12 +129,7 @@ impl RunOptions {
 
     /// The catalog-facing view of these options.
     pub fn sweep(&self) -> wsan_expr::campaigns::SweepOptions {
-        wsan_expr::campaigns::SweepOptions {
-            sets: self.sets,
-            seed: self.seed,
-            quick: self.quick,
-            engine: self.engine,
-        }
+        wsan_expr::campaigns::SweepOptions { sets: self.sets, seed: self.seed, quick: self.quick }
     }
 
     /// Campaign engine configuration for the named figure: workers and
@@ -192,38 +175,14 @@ mod tests {
     #[test]
     fn defaults_without_args() {
         let o = parse(&[], 100).unwrap();
-        assert_eq!(
-            o,
-            RunOptions {
-                sets: 100,
-                seed: 1,
-                quick: false,
-                jobs: 0,
-                resume: false,
-                engine: wsan_sim::SimEngine::SlotStepper,
-            }
-        );
+        assert_eq!(o, RunOptions { sets: 100, seed: 1, quick: false, jobs: 0, resume: false });
     }
 
     #[test]
     fn parses_all_flags() {
-        let o = parse(
-            &["--sets", "7", "--seed", "9", "--jobs", "3", "--resume", "--engine", "events"],
-            100,
-        )
-        .unwrap();
-        assert_eq!(
-            o,
-            RunOptions {
-                sets: 7,
-                seed: 9,
-                quick: false,
-                jobs: 3,
-                resume: true,
-                engine: wsan_sim::SimEngine::EventDriven,
-            }
-        );
-        assert_eq!(o.sweep().engine, wsan_sim::SimEngine::EventDriven);
+        let o = parse(&["--sets", "7", "--seed", "9", "--jobs", "3", "--resume"], 100).unwrap();
+        assert_eq!(o, RunOptions { sets: 7, seed: 9, quick: false, jobs: 3, resume: true });
+        assert_eq!(o.sweep().seed, 9);
     }
 
     #[test]
@@ -238,7 +197,6 @@ mod tests {
         assert!(matches!(parse(&["--sets"], 5), Err(BenchError::Usage(_))));
         assert!(matches!(parse(&["--sets", "many"], 5), Err(BenchError::Usage(_))));
         assert!(matches!(parse(&["--frobnicate"], 5), Err(BenchError::Usage(_))));
-        assert!(matches!(parse(&["--engine", "quantum"], 5), Err(BenchError::Usage(_))));
     }
 
     #[test]

@@ -17,7 +17,6 @@ pub const USAGE: &str = "usage:
                 [--pattern p2p|centralized] [--channels a-b] [--seed N]
                 [--periods x,y] [--rho N]
   wsan simulate (schedule options) [--reps N] [--wifi] [--autonomous L]
-                [--engine slots|events]         # slot-stepper or event queue
   wsan run      alias for simulate
   wsan export   (schedule options) --out FILE     # CSV slotframe
   wsan detect   --testbed <indriya|wustl> --flows N [--epochs N] [--seed N]
@@ -27,7 +26,6 @@ pub const USAGE: &str = "usage:
                 [--out FILE]                    # fault campaign → JSON
   wsan campaign --name <smoke|schedulable|efficiency|exectime|reliability|detection|faults|churn|scale>
                 [--jobs N] [--resume] [--sets N] [--seed N] [--quick]
-                [--engine slots|events]
                 [--out FILE] [--manifest FILE]  # checkpointed sweep → JSON
   wsan shard    --nodes N --shards K [--algo nr|ra|rc|rc-lite] [--rho N]
                 [--flows-per-shard N] [--pattern p2p|centralized] [--periods x,y]
@@ -523,18 +521,9 @@ fn cmd_schedule(args: &Args) -> Result<(), String> {
     }
 }
 
-/// Parses the optional `--engine slots|events` selector (see
-/// [`wsan_sim::SimEngine`]); absent means the slot-stepper.
-fn parse_engine(args: &Args) -> Result<wsan_sim::SimEngine, String> {
-    match args.get("engine") {
-        None => Ok(wsan_sim::SimEngine::default()),
-        Some(s) => s.parse(),
-    }
-}
-
 fn cmd_simulate(args: &Args) -> Result<(), String> {
     let mut allowed = SCHEDULE_OPTS.to_vec();
-    allowed.extend(["reps", "wifi", "autonomous", "engine"]);
+    allowed.extend(["reps", "wifi", "autonomous"]);
     known(args, &allowed)?;
     let topo = load_testbed(args)?;
     let channels = channels_of(args)?;
@@ -567,9 +556,8 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
         .build()
         .schedule(&set, &model)
         .map_err(|e| format!("{algo} cannot schedule this workload: {e}"))?;
-    let engine = parse_engine(args)?;
     let sim = Simulator::try_new(&topo, &channels, &set, &schedule).map_err(|e| e.to_string())?;
-    let report = sim.try_run_with(engine, &sim_config).map_err(|e| e.to_string())?;
+    let report = sim.try_run(&sim_config).map_err(|e| e.to_string())?;
     let pdrs = report.flow_pdrs();
     let boxplot = wsan_stats::BoxPlot::of(&pdrs).map_err(|e| e.to_string())?;
     println!("{algo} over {reps} hyperperiod executions:");
@@ -819,7 +807,7 @@ fn cmd_shard(args: &Args) -> Result<(), String> {
 /// every sweep point is appended to a manifest as it completes, so an
 /// interrupted run re-invoked with `--resume` only computes what's missing.
 fn cmd_campaign(args: &Args) -> Result<(), String> {
-    known(args, &["name", "jobs", "resume", "sets", "seed", "quick", "out", "manifest", "engine"])?;
+    known(args, &["name", "jobs", "resume", "sets", "seed", "quick", "out", "manifest"])?;
     let names = wsan_expr::campaigns::NAMES.join("|");
     let Some(name) = args.get("name") else {
         return Err(format!("--name is required ({names})"));
@@ -828,7 +816,6 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
         sets: args.get_or("sets", 0)?, // 0 = the campaign's own default
         seed: args.get_or("seed", 1)?,
         quick: args.has("quick"),
-        engine: parse_engine(args)?,
     };
     let manifest = args
         .get("manifest")
@@ -916,37 +903,6 @@ mod tests {
     fn simulate_small_workload() {
         run(&["simulate", "--testbed", "wustl", "--flows", "8", "--reps", "5", "--seed", "3"])
             .unwrap();
-    }
-
-    #[test]
-    fn simulate_selects_the_event_engine() {
-        run(&[
-            "simulate",
-            "--testbed",
-            "wustl",
-            "--flows",
-            "8",
-            "--reps",
-            "5",
-            "--seed",
-            "3",
-            "--engine",
-            "events",
-        ])
-        .unwrap();
-        let err = run(&[
-            "simulate",
-            "--testbed",
-            "wustl",
-            "--flows",
-            "8",
-            "--reps",
-            "5",
-            "--engine",
-            "quantum",
-        ])
-        .unwrap_err();
-        assert!(err.contains("quantum"));
     }
 
     #[test]
@@ -1113,8 +1069,6 @@ mod export_tests {
             "3",
             "--seed",
             "3",
-            "--engine",
-            "events",
             "--flightrec",
             "256",
             "--flightrec-dump",

@@ -74,7 +74,6 @@ struct ServiceMetrics {
     overload_rejections: wsan_obs::Counter,
     journal_records: wsan_obs::Counter,
     replayed: wsan_obs::Counter,
-    latency: wsan_obs::Timer,
     request_us: wsan_obs::HdrHistogram,
 }
 
@@ -90,7 +89,6 @@ impl ServiceMetrics {
             overload_rejections: reg.counter("gateway.overload_rejections"),
             journal_records: reg.counter("gateway.journal.records"),
             replayed: reg.counter("gateway.journal.replayed"),
-            latency: reg.timer("gateway.request"),
             request_us: reg.quantile("gateway.request_us"),
         }
     }
@@ -333,7 +331,6 @@ impl GatewayService {
             }
         }
         if let Some(m) = &self.metrics {
-            m.latency.record(elapsed);
             m.request_us.record(u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX));
         }
         match result {

@@ -38,15 +38,11 @@ pub struct SweepOptions {
     pub seed: u64,
     /// Quick mode: shrink the heaviest dimensions (and cap `sets` at 10).
     pub quick: bool,
-    /// Simulation core executing the simulator-backed campaigns
-    /// (reliability, detection); schedulability-only campaigns and the
-    /// recovery-supervised fault sweep ignore it.
-    pub engine: wsan_sim::SimEngine,
 }
 
 impl Default for SweepOptions {
     fn default() -> Self {
-        SweepOptions { sets: 0, seed: 1, quick: false, engine: wsan_sim::SimEngine::default() }
+        SweepOptions { sets: 0, seed: 1, quick: false }
     }
 }
 
@@ -449,7 +445,6 @@ pub fn reliability_sets(
         flow_count: if opts.quick { 25 } else { 50 },
         repetitions: if opts.quick { 30 } else { 100 },
         seed: opts.seed,
-        engine: opts.engine,
         ..reliability::ReliabilityConfig::default()
     };
     let points: Vec<PointSpec<usize>> =
@@ -477,7 +472,6 @@ pub fn detection_runs(
         window_reps: if opts.quick { 5 } else { 10 },
         flow_count: if opts.quick { 60 } else { 110 },
         seed: opts.seed,
-        engine: opts.engine,
         ..detection::DetectionConfig::default()
     };
     let algos = [Algorithm::Ra { rho: 2 }, Algorithm::Rc { rho_t: 2 }];

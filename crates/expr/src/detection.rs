@@ -10,7 +10,7 @@ use wsan_core::NetworkModel;
 use wsan_detect::{DetectionPolicy, EpochReport};
 use wsan_flow::{FlowSetConfig, FlowSetGenerator, PeriodRange, TrafficPattern};
 use wsan_net::{ChannelSet, DirectedLink, Position, Prr, Topology};
-use wsan_sim::{CaptureModel, LinkCondition, SimConfig, SimEngine, Simulator, WifiInterferer};
+use wsan_sim::{CaptureModel, LinkCondition, SimConfig, Simulator, WifiInterferer};
 
 /// Parameters of the detection experiment.
 #[derive(Debug, Clone)]
@@ -39,10 +39,6 @@ pub struct DetectionConfig {
     pub wifi_duty: f64,
     /// `PRR_t` for the communication graph.
     pub prr_threshold: f64,
-    /// Which simulation core executes the runs. The interfered environment
-    /// is outside the event engine's byte-identity contract, so switching
-    /// engines changes individual draws (not the statistics).
-    pub engine: SimEngine,
 }
 
 impl Default for DetectionConfig {
@@ -58,7 +54,6 @@ impl Default for DetectionConfig {
             wifi_power_dbm: -3.0,
             wifi_duty: 0.10,
             prr_threshold: 0.9,
-            engine: SimEngine::default(),
         }
     }
 }
@@ -176,18 +171,15 @@ pub fn evaluate_algo(
         (0..cfg.epochs)
             .map(|epoch| {
                 let report = sim
-                    .try_run_with(
-                        cfg.engine,
-                        &SimConfig {
-                            seed: set_seed(cfg.seed, epoch + if wifi { 1000 } else { 0 }),
-                            repetitions: reps,
-                            window_reps: cfg.window_reps,
-                            capture: cfg.capture,
-                            interferers: if wifi { interferers.clone() } else { Vec::new() },
-                            discovery_probes: 1,
-                            ..SimConfig::default()
-                        },
-                    )
+                    .try_run(&SimConfig {
+                        seed: set_seed(cfg.seed, epoch + if wifi { 1000 } else { 0 }),
+                        repetitions: reps,
+                        window_reps: cfg.window_reps,
+                        capture: cfg.capture,
+                        interferers: if wifi { interferers.clone() } else { Vec::new() },
+                        discovery_probes: 1,
+                        ..SimConfig::default()
+                    })
                     .map_err(|e| e.to_string())?;
                 let samples = report.links_with_reuse().into_iter().map(|link| {
                     (

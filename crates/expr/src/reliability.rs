@@ -12,7 +12,7 @@ use wsan_core::metrics::compute;
 use wsan_core::NetworkModel;
 use wsan_flow::{FlowSetConfig, FlowSetGenerator, PeriodRange, TrafficPattern};
 use wsan_net::{ChannelSet, Prr, Topology};
-use wsan_sim::{CaptureModel, SimConfig, SimEngine, Simulator};
+use wsan_sim::{CaptureModel, SimConfig, Simulator};
 use wsan_stats::{BoxPlot, Histogram};
 
 /// Parameters of the reliability experiment.
@@ -38,10 +38,6 @@ pub struct ReliabilityConfig {
     /// algorithm can schedule it (the paper's five sets are implicitly
     /// feasible for all three algorithms).
     pub feasibility_attempts: usize,
-    /// Which simulation core executes the runs. Both engines are
-    /// equivalent (byte-identical here, since reliability runs use a clean
-    /// environment); the event engine is faster on sparse schedules.
-    pub engine: SimEngine,
 }
 
 impl Default for ReliabilityConfig {
@@ -56,7 +52,6 @@ impl Default for ReliabilityConfig {
             capture: CaptureModel::default(),
             prr_threshold: 0.9,
             feasibility_attempts: 50,
-            engine: SimEngine::default(),
         }
     }
 }
@@ -132,18 +127,15 @@ pub fn evaluate(
             .zip(&schedules)
             .map(|(algo, schedule)| {
                 let sim = Simulator::new(topology, channels, &set, schedule);
-                let report = sim.run_with(
-                    cfg.engine,
-                    &SimConfig {
-                        seed: seed ^ 0xABCD_EF01,
-                        repetitions: cfg.repetitions,
-                        window_reps: cfg.repetitions.max(1),
-                        capture: cfg.capture,
-                        interferers: Vec::new(),
-                        discovery_probes: 0,
-                        ..SimConfig::default()
-                    },
-                );
+                let report = sim.run(&SimConfig {
+                    seed: seed ^ 0xABCD_EF01,
+                    repetitions: cfg.repetitions,
+                    window_reps: cfg.repetitions.max(1),
+                    capture: cfg.capture,
+                    interferers: Vec::new(),
+                    discovery_probes: 0,
+                    ..SimConfig::default()
+                });
                 let pdrs = report.flow_pdrs();
                 let boxplot = BoxPlot::of(&pdrs).expect("at least one flow");
                 AlgoReliability {
@@ -212,18 +204,15 @@ pub fn evaluate_set(
             let sim = Simulator::try_new(topology, channels, &set, schedule)
                 .map_err(|e| format!("flow set {set_index}: {e}"))?;
             let report = sim
-                .try_run_with(
-                    cfg.engine,
-                    &SimConfig {
-                        seed: seed ^ 0xABCD_EF01,
-                        repetitions: cfg.repetitions,
-                        window_reps: cfg.repetitions.max(1),
-                        capture: cfg.capture,
-                        interferers: Vec::new(),
-                        discovery_probes: 0,
-                        ..SimConfig::default()
-                    },
-                )
+                .try_run(&SimConfig {
+                    seed: seed ^ 0xABCD_EF01,
+                    repetitions: cfg.repetitions,
+                    window_reps: cfg.repetitions.max(1),
+                    capture: cfg.capture,
+                    interferers: Vec::new(),
+                    discovery_probes: 0,
+                    ..SimConfig::default()
+                })
                 .map_err(|e| format!("flow set {set_index}: {e}"))?;
             let pdrs = report.flow_pdrs();
             let boxplot = BoxPlot::of(&pdrs).map_err(|e| format!("flow set {set_index}: {e}"))?;
@@ -286,25 +275,5 @@ mod tests {
         // NR must not share channels
         let nr = algos.iter().find(|a| a.algorithm == "NR").unwrap();
         assert_eq!(nr.tx_per_channel.proportion(1), 1.0);
-    }
-
-    /// Reliability runs use a clean environment and scheduled-only faults
-    /// (none), so they sit inside the event engine's draw-order contract:
-    /// both engines must produce identical experiment outcomes.
-    #[test]
-    fn engines_agree_on_reliability_outcomes() {
-        let topo = testbeds::wustl(8);
-        let channels = ChannelId::range(11, 14).unwrap();
-        let base = ReliabilityConfig {
-            flow_sets: 1,
-            flow_count: 12,
-            repetitions: 20,
-            feasibility_attempts: 10,
-            ..ReliabilityConfig::default()
-        };
-        let events = ReliabilityConfig { engine: wsan_sim::SimEngine::EventDriven, ..base.clone() };
-        let a = evaluate_set(&topo, &channels, &Algorithm::paper_suite(), &base, 0).unwrap();
-        let b = evaluate_set(&topo, &channels, &Algorithm::paper_suite(), &events, 0).unwrap();
-        assert_eq!(a, b);
     }
 }

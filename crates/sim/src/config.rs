@@ -117,49 +117,6 @@ fn gaussian<R: rand::Rng + ?Sized>(rng: &mut R) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
-/// Which simulation core executes a run.
-///
-/// Both engines implement the same PHY semantics and produce a
-/// [`SimReport`](crate::SimReport); they differ in how they traverse time.
-/// The slot-stepper is the golden oracle; the event engine skips idle slots
-/// and is byte-identical to the oracle whenever the *draw-order contract*
-/// holds (no environment interferers, no stochastic fault triggers, no
-/// spawned interferers — see DESIGN.md §13), and statistically equivalent
-/// otherwise.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum SimEngine {
-    /// The original engine: walks every `(repetition, slot)` pair. O(slots ×
-    /// repetitions) regardless of occupancy, but the reference semantics.
-    #[default]
-    SlotStepper,
-    /// The discrete-event engine: a time-ordered event queue over components
-    /// (transmission batches, fault-plan changes, repetition boundaries)
-    /// that visits only slots holding scheduled transmissions. O(busy slots
-    /// × repetitions); the unlock for sparse long-horizon scenarios.
-    EventDriven,
-}
-
-impl std::str::FromStr for SimEngine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "slots" | "slot" | "slot-stepper" | "oracle" => Ok(SimEngine::SlotStepper),
-            "events" | "event" | "event-driven" => Ok(SimEngine::EventDriven),
-            other => Err(format!("unknown engine '{other}' (expected 'slots' or 'events')")),
-        }
-    }
-}
-
-impl std::fmt::Display for SimEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SimEngine::SlotStepper => write!(f, "slots"),
-            SimEngine::EventDriven => write!(f, "events"),
-        }
-    }
-}
-
 /// Parameters of one simulation run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimConfig {
@@ -228,16 +185,6 @@ mod tests {
         assert!((m.capture_probability(4.0) - 0.5).abs() < 1e-12);
         assert!(m.capture_probability(20.0) > 0.999);
         assert!(m.capture_probability(-15.0) < 0.001);
-    }
-
-    #[test]
-    fn engine_parses_and_displays() {
-        assert_eq!("events".parse::<SimEngine>().unwrap(), SimEngine::EventDriven);
-        assert_eq!("slot-stepper".parse::<SimEngine>().unwrap(), SimEngine::SlotStepper);
-        assert_eq!("oracle".parse::<SimEngine>().unwrap(), SimEngine::SlotStepper);
-        assert!("quantum".parse::<SimEngine>().is_err());
-        assert_eq!(SimEngine::EventDriven.to_string(), "events");
-        assert_eq!(SimEngine::default(), SimEngine::SlotStepper);
     }
 
     #[test]

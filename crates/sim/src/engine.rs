@@ -1,7 +1,8 @@
-//! The slot-by-slot simulation engine.
+//! The simulation engine: one run loop that walks either only the busy
+//! slots of the slotframe or every slot (see [`Simulator::run`]).
 
 use crate::error::SimError;
-use crate::faults::{FaultInjector, FaultLog, FaultPlan};
+use crate::faults::{FaultInjector, FaultLog};
 use crate::phy::{LinkBudgets, PathLoss, Phy, WifiBudgets};
 use crate::{FlowStats, LinkCondition, PrrSample, SimConfig, SimReport, TraceBuffer, TraceEvent};
 use rand::rngs::StdRng;
@@ -12,42 +13,40 @@ use wsan_flow::FlowSet;
 use wsan_net::{ChannelSet, DirectedLink, Topology};
 
 /// One transmission opportunity of the slotframe, precomputed for fast
-/// repetition. Shared with the event engine (`crate::events`), which
-/// resolves the same records in the same order — just without visiting the
-/// slots between them.
+/// repetition.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct SlotTx {
-    pub(crate) offset: usize,
-    pub(crate) link: DirectedLink,
+struct SlotTx {
+    offset: usize,
+    link: DirectedLink,
     /// index of `link` in [`Simulator::scheduled_links`]
-    pub(crate) link_idx: usize,
-    pub(crate) job_flat: usize,
-    pub(crate) hop_index: u32,
-    pub(crate) reuse: bool,
+    link_idx: usize,
+    job_flat: usize,
+    hop_index: u32,
+    reuse: bool,
     /// position in its cell
-    pub(crate) cell_pos: usize,
+    cell_pos: usize,
     /// start of its receiver's row in the cell budgets (reuse cells only)
-    pub(crate) cell_row: usize,
+    cell_row: usize,
 }
 
 /// Instrument handles for the per-slot loop, built once per run and only
 /// when global metrics are on. Recording never touches the engine RNG, so
 /// an instrumented run stays bit-identical to a plain one.
-pub(crate) struct SimMetrics {
-    pub(crate) tx: wsan_obs::Counter,
-    pub(crate) ack: wsan_obs::Counter,
-    pub(crate) collisions: wsan_obs::Counter,
-    pub(crate) fault_events: wsan_obs::Counter,
-    pub(crate) deliveries: wsan_obs::Counter,
-    pub(crate) expiries: wsan_obs::Counter,
-    pub(crate) prr: wsan_obs::Histogram,
+struct SimMetrics {
+    tx: wsan_obs::Counter,
+    ack: wsan_obs::Counter,
+    collisions: wsan_obs::Counter,
+    fault_events: wsan_obs::Counter,
+    deliveries: wsan_obs::Counter,
+    expiries: wsan_obs::Counter,
+    prr: wsan_obs::Histogram,
     /// Wall time spent resolving one busy slot's transmissions, with
-    /// p50/p90/p99/p999 quantiles (both engines record into it).
-    pub(crate) slot_batch_ns: wsan_obs::HdrHistogram,
+    /// p50/p90/p99/p999 quantiles.
+    slot_batch_ns: wsan_obs::HdrHistogram,
 }
 
 impl SimMetrics {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         let reg = wsan_obs::global_metrics();
         SimMetrics {
             tx: reg.counter("sim.tx"),
@@ -64,7 +63,7 @@ impl SimMetrics {
     /// Publishes per-flow end-to-end gauges from a finished report:
     /// `sim.flow.<i>.pdr` and `sim.flow.<i>.latency_mean_slots`. Cold path
     /// (once per run); gauge registration takes the registry write lock.
-    pub(crate) fn record_flow_gauges(report: &crate::SimReport) {
+    fn record_flow_gauges(report: &crate::SimReport) {
         let reg = wsan_obs::global_metrics();
         for (fi, stats) in report.flows.iter().enumerate() {
             let pdr = if stats.released == 0 {
@@ -90,29 +89,29 @@ impl SimMetrics {
 /// [`SimConfig`]s (seeds, interference environments).
 #[derive(Debug)]
 pub struct Simulator<'a> {
-    pub(crate) topo: &'a Topology,
-    pub(crate) channels: &'a ChannelSet,
-    pub(crate) flows: &'a FlowSet,
-    pub(crate) horizon: u32,
+    topo: &'a Topology,
+    channels: &'a ChannelSet,
+    flows: &'a FlowSet,
+    horizon: u32,
     /// transmission opportunities grouped by slot
-    pub(crate) per_slot: Vec<Vec<SlotTx>>,
+    per_slot: Vec<Vec<SlotTx>>,
     /// flat job index base per flow
-    pub(crate) job_base: Vec<usize>,
+    job_base: Vec<usize>,
     /// route hop count per flow
-    pub(crate) flow_hops: Vec<u32>,
-    pub(crate) total_jobs: usize,
+    flow_hops: Vec<u32>,
+    total_jobs: usize,
     /// flow index of each flat job
-    pub(crate) job_flow: Vec<usize>,
+    job_flow: Vec<usize>,
     /// release slot of each flat job
-    pub(crate) job_release: Vec<u32>,
+    job_release: Vec<u32>,
     /// distinct links appearing in the schedule, ascending: discovery
     /// probes, link budgets and sample windows are indexed by position here
-    pub(crate) scheduled_links: Vec<DirectedLink>,
+    scheduled_links: Vec<DirectedLink>,
     /// slots of the slotframe holding at least one scheduled transmission,
-    /// ascending — the event engine's itinerary
-    pub(crate) busy_slots: Vec<u32>,
+    /// ascending — the busy-slot walk's itinerary
+    busy_slots: Vec<u32>,
     /// signal and co-cell interferer powers of the scheduled transmissions
-    pub(crate) budgets: LinkBudgets,
+    budgets: LinkBudgets,
 }
 
 impl<'a> Simulator<'a> {
@@ -263,6 +262,12 @@ impl<'a> Simulator<'a> {
     /// Runs the schedule `config.repetitions` times and reports delivery and
     /// link statistics. Deterministic in `(self, config)`.
     ///
+    /// With no `config.interferers` and a fault plan that draws nothing per
+    /// slot (no stochastic trigger, no spawned interferer), idle slots
+    /// consume no randomness, and the run visits only the slots that hold
+    /// transmissions; otherwise it visits every slot. The choice never
+    /// changes the report (DESIGN.md §13).
+    ///
     /// # Panics
     ///
     /// Panics if `config.faults` is inconsistent with the simulated world;
@@ -305,29 +310,14 @@ impl<'a> Simulator<'a> {
     /// [`SimError::BadFaultPlan`] under the same conditions as
     /// [`Simulator::try_run`].
     pub fn try_run_faulted(&self, config: &SimConfig) -> Result<(SimReport, FaultLog), SimError> {
-        config.faults.validate(self.topo.node_count(), config.interferers.len())?;
-        Ok(self.run_impl(config, None))
+        self.run_impl(config, None, false)
     }
 
-    /// Like [`Simulator::run`], but records per-event history into `trace`
-    /// (attempts with their interference counts, deliveries, expiries).
-    /// Tracing does not perturb the RNG stream: a traced run returns the
-    /// same report as an untraced one with the same config.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.faults` is inconsistent with the simulated world;
-    /// use [`Simulator::try_run_traced`] to get a typed error instead.
-    pub fn run_traced(&self, config: &SimConfig, trace: &mut crate::TraceBuffer) -> SimReport {
-        match self.try_run_traced(config, trace) {
-            Ok((report, _)) => report,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of [`Simulator::run_traced`], completing the
-    /// `run`/`try_run`/`run_faulted`/`try_run_faulted` ladder: validates the
-    /// fault plan up front and also returns the [`FaultLog`].
+    /// Like [`Simulator::try_run_faulted`], but also records per-event
+    /// history into `trace` (attempts with their interference counts,
+    /// deliveries, expiries). Tracing does not perturb the RNG stream: a
+    /// traced run returns the same report as an untraced one with the same
+    /// config.
     ///
     /// # Errors
     ///
@@ -336,120 +326,45 @@ impl<'a> Simulator<'a> {
     pub fn try_run_traced(
         &self,
         config: &SimConfig,
-        trace: &mut crate::TraceBuffer,
+        trace: &mut TraceBuffer,
     ) -> Result<(SimReport, FaultLog), SimError> {
-        config.faults.validate(self.topo.node_count(), config.interferers.len())?;
-        Ok(self.run_impl(config, Some(trace)))
+        self.run_impl(config, Some(trace), false)
     }
 
-    /// Runs the schedule on the discrete-event engine (see
-    /// [`crate::SimEngine`]). Equivalent to the slot-stepper — byte-identical
-    /// under the draw-order contract, statistically equivalent otherwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.faults` is inconsistent with the simulated world;
-    /// use [`Simulator::try_run_events`] to get a typed error instead.
-    pub fn run_events(&self, config: &SimConfig) -> SimReport {
-        match self.try_run_events(config) {
-            Ok(report) => report,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of [`Simulator::run_events`].
+    /// Runs the every-slot walk whatever the config: the oracle that the
+    /// busy-slot walk of [`Simulator::try_run_faulted`] is tested and
+    /// benchmarked against. Not part of the supported API.
     ///
     /// # Errors
     ///
     /// [`SimError::BadFaultPlan`] under the same conditions as
     /// [`Simulator::try_run`].
-    pub fn try_run_events(&self, config: &SimConfig) -> Result<SimReport, SimError> {
-        self.try_run_events_faulted(config).map(|(report, _)| report)
-    }
-
-    /// Event-engine variant of [`Simulator::try_run_faulted`].
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::BadFaultPlan`] under the same conditions as
-    /// [`Simulator::try_run`].
-    pub fn try_run_events_faulted(
+    #[doc(hidden)]
+    pub fn try_run_every_slot(
         &self,
         config: &SimConfig,
+        trace: Option<&mut TraceBuffer>,
     ) -> Result<(SimReport, FaultLog), SimError> {
-        config.faults.validate(self.topo.node_count(), config.interferers.len())?;
-        Ok(crate::events::run(self, config, None))
+        self.run_impl(config, trace, true)
     }
 
-    /// Runs on the selected engine. The dispatching twin of
-    /// [`Simulator::run`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.faults` is inconsistent with the simulated world;
-    /// use [`Simulator::try_run_with`] to get a typed error instead.
-    pub fn run_with(&self, engine: crate::SimEngine, config: &SimConfig) -> SimReport {
-        match self.try_run_with(engine, config) {
-            Ok(report) => report,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible engine-dispatching run.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::BadFaultPlan`] under the same conditions as
-    /// [`Simulator::try_run`].
-    pub fn try_run_with(
-        &self,
-        engine: crate::SimEngine,
-        config: &SimConfig,
-    ) -> Result<SimReport, SimError> {
-        self.try_run_faulted_with(engine, config).map(|(report, _)| report)
-    }
-
-    /// Fallible engine-dispatching variant of [`Simulator::try_run_faulted`].
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::BadFaultPlan`] under the same conditions as
-    /// [`Simulator::try_run`].
-    pub fn try_run_faulted_with(
-        &self,
-        engine: crate::SimEngine,
-        config: &SimConfig,
-    ) -> Result<(SimReport, FaultLog), SimError> {
-        match engine {
-            crate::SimEngine::SlotStepper => self.try_run_faulted(config),
-            crate::SimEngine::EventDriven => self.try_run_events_faulted(config),
-        }
-    }
-
-    /// Fallible engine-dispatching variant of [`Simulator::try_run_traced`].
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::BadFaultPlan`] under the same conditions as
-    /// [`Simulator::try_run`].
-    pub fn try_run_traced_with(
-        &self,
-        engine: crate::SimEngine,
-        config: &SimConfig,
-        trace: &mut crate::TraceBuffer,
-    ) -> Result<(SimReport, FaultLog), SimError> {
-        config.faults.validate(self.topo.node_count(), config.interferers.len())?;
-        match engine {
-            crate::SimEngine::SlotStepper => Ok(self.run_impl(config, Some(trace))),
-            crate::SimEngine::EventDriven => Ok(crate::events::run(self, config, Some(trace))),
-        }
-    }
-
+    /// The one run loop. Inside the draw-order contract of DESIGN.md §13
+    /// (no environment interferers, and a fault plan that draws nothing per
+    /// slot) an idle slot consumes no RNG draw and the injector's answers
+    /// change only at the plan's change slots, so the loop visits only
+    /// [`Simulator::busy_slots`] and advances the injector through those
+    /// change slots as it goes. Otherwise, or when `every_slot` asks for the
+    /// oracle, it visits every slot. The fault plan is validated up front so
+    /// injected faults surface as typed errors, not panics mid-run.
     fn run_impl(
         &self,
         config: &SimConfig,
         trace: Option<&mut TraceBuffer>,
-    ) -> (SimReport, FaultLog) {
+        every_slot: bool,
+    ) -> Result<(SimReport, FaultLog), SimError> {
+        config.faults.validate(self.topo.node_count(), config.interferers.len())?;
+        let busy_only =
+            !every_slot && config.interferers.is_empty() && !config.faults.draws_per_slot();
         let _span = wsan_obs::span(
             wsan_obs::Level::Debug,
             "sim.run",
@@ -463,24 +378,46 @@ impl<'a> Simulator<'a> {
                 Vec::new()
             },
         );
-        let mut core = RunCore::new(self, config, &config.faults, trace);
+        let mut core = RunCore::new(self, config, trace);
         let mut injector = FaultInjector::new(&config.faults);
+        let horizon = u64::from(self.horizon);
+        let mut changes = if busy_only {
+            config.faults.change_slots(u64::from(config.repetitions) * horizon)
+        } else {
+            Vec::new()
+        }
+        .into_iter()
+        .peekable();
         // Duty-gate buffers reused across every slot of every repetition:
         // the per-slot loop allocates nothing after the first iteration.
         // Spawned interferers are carried as fault-plan event indices.
         let mut spawned: Vec<usize> = Vec::new();
         let mut env_active: Vec<bool> = vec![false; config.interferers.len()];
         for rep in 0..config.repetitions {
-            for slot in 0..self.horizon {
-                let asn = u64::from(rep) * u64::from(self.horizon) + u64::from(slot);
-                injector.advance(asn);
-                // Environment interferers gate on the engine RNG (one draw
-                // each, silenced or not, so an active fault plan never
-                // perturbs the fault-free stream); injected interferers
-                // gate on the injector's own RNG.
-                injector.sample_spawned_wifi_into(&mut spawned);
-                core.draw_environment_gates(&injector, &mut env_active);
-                core.slot(slot, asn, &injector, &env_active, &spawned);
+            let rep_start = u64::from(rep) * horizon;
+            if busy_only {
+                for &slot in &self.busy_slots {
+                    let asn = rep_start + u64::from(slot);
+                    while let Some(change) = changes.next_if(|&c| c <= asn) {
+                        injector.advance(change);
+                    }
+                    core.slot(slot, asn, &injector, &env_active, &spawned);
+                }
+                while let Some(change) = changes.next_if(|&c| c < rep_start + horizon) {
+                    injector.advance(change);
+                }
+            } else {
+                for slot in 0..self.horizon {
+                    let asn = rep_start + u64::from(slot);
+                    injector.advance(asn);
+                    // Environment interferers gate on the engine RNG (one
+                    // draw each, silenced or not, so an active fault plan
+                    // never perturbs the fault-free stream); injected
+                    // interferers gate on the injector's own RNG.
+                    injector.sample_spawned_wifi_into(&mut spawned);
+                    core.draw_environment_gates(&injector, &mut env_active);
+                    core.slot(slot, asn, &injector, &env_active, &spawned);
+                }
             }
             // neighbor-discovery probes: contention-free, cycling channels
             for _ in 0..config.discovery_probes {
@@ -505,7 +442,7 @@ impl<'a> Simulator<'a> {
                 ],
             );
         }
-        (report, log)
+        Ok((report, log))
     }
 }
 
@@ -520,12 +457,11 @@ fn window_index(link: usize, condition: LinkCondition) -> usize {
     CONDITIONS.len() * link + condition as usize
 }
 
-/// The state of one run that both engines share: the main RNG stream
+/// The state of one run, whichever walk drives it: the main RNG stream
 /// (fading and success draws), the run's WiFi budgets, job progress, the
-/// open PRR sample window and the report being built. The engines differ
-/// only in how they walk time and draw duty gates; every attempt is
-/// resolved here, in the slot-stepper's draw order.
-pub(crate) struct RunCore<'s, 'w, 't> {
+/// open PRR sample window and the report being built. Every attempt is
+/// resolved here, in slot order.
+struct RunCore<'s, 'w, 't> {
     sim: &'s Simulator<'w>,
     config: &'s SimConfig,
     phy: Phy,
@@ -546,11 +482,10 @@ pub(crate) struct RunCore<'s, 'w, 't> {
 }
 
 impl<'s, 'w, 't> RunCore<'s, 'w, 't> {
-    /// Starts a run of `config` whose injector executes `plan`.
-    pub(crate) fn new(
+    /// Starts a run of `config`.
+    fn new(
         sim: &'s Simulator<'w>,
         config: &'s SimConfig,
-        plan: &FaultPlan,
         trace: Option<&'t mut TraceBuffer>,
     ) -> Self {
         let path = PathLoss::new(sim.topo);
@@ -563,7 +498,7 @@ impl<'s, 'w, 't> RunCore<'s, 'w, 't> {
                 sim.channels,
                 &sim.scheduled_links,
                 &config.interferers,
-                plan,
+                &config.faults,
             ),
             rng: StdRng::seed_from_u64(config.seed),
             window: vec![PrrSample::default(); CONDITIONS.len() * sim.scheduled_links.len()],
@@ -583,9 +518,9 @@ impl<'s, 'w, 't> RunCore<'s, 'w, 't> {
         }
     }
 
-    /// The slot-stepper's environment duty gates: one main-stream draw
-    /// per interferer, silenced or not.
-    pub(crate) fn draw_environment_gates(&mut self, injector: &FaultInjector, active: &mut [bool]) {
+    /// The environment duty gates: one main-stream draw per interferer,
+    /// silenced or not.
+    fn draw_environment_gates(&mut self, injector: &FaultInjector, active: &mut [bool]) {
         for (i, w) in self.config.interferers.iter().enumerate() {
             let duty = self.rng.gen::<f64>() < w.duty_cycle;
             active[i] = duty && !injector.interferer_silenced(i);
@@ -596,7 +531,7 @@ impl<'s, 'w, 't> RunCore<'s, 'w, 't> {
     /// absolute slot `asn`, with the environment interferers flagged in
     /// `env_active` and the spawned ones (fault-plan event indices) in
     /// `spawned` on the air.
-    pub(crate) fn slot(
+    fn slot(
         &mut self,
         slot: u32,
         asn: u64,
@@ -707,7 +642,7 @@ impl<'s, 'w, 't> RunCore<'s, 'w, 't> {
 
     /// One contention-free neighbor-discovery probe on scheduled link
     /// `link` in repetition `rep`, on the channel its probes cycle to.
-    pub(crate) fn probe(
+    fn probe(
         &mut self,
         rep: u32,
         link: usize,
@@ -748,7 +683,7 @@ impl<'s, 'w, 't> RunCore<'s, 'w, 't> {
 
     /// End-of-repetition bookkeeping: delivery accounting, a fresh job
     /// progress, and the window flush at window boundaries.
-    pub(crate) fn end_repetition(&mut self, rep: u32) {
+    fn end_repetition(&mut self, rep: u32) {
         let sim = self.sim;
         for (fi, flow) in sim.flows.iter().enumerate() {
             let jobs = sim.horizon.div_ceil(flow.period().slots()) as usize;
@@ -797,7 +732,7 @@ impl<'s, 'w, 't> RunCore<'s, 'w, 't> {
 
     /// Flushes the last window and returns the report of a run whose
     /// injector logged `log`.
-    pub(crate) fn finish(mut self, log: &FaultLog) -> SimReport {
+    fn finish(mut self, log: &FaultLog) -> SimReport {
         self.flush();
         self.report.flows = self.flow_stats;
         if let Some(m) = &self.metrics {
@@ -1299,7 +1234,7 @@ mod trace_tests {
             SimConfig { repetitions: 40, seed: 9, discovery_probes: 0, ..SimConfig::default() };
         let plain = sim.run(&cfg);
         let mut buf = TraceBuffer::with_capacity(10_000);
-        let traced = sim.run_traced(&cfg, &mut buf);
+        let (traced, _) = sim.try_run_traced(&cfg, &mut buf).unwrap();
         assert_eq!(plain, traced);
         // trace is consistent with the report
         let delivered =

@@ -3,8 +3,10 @@
 //!
 //! A [`FaultPlan`] is a declarative list of [`FaultEvent`]s carried inside
 //! [`SimConfig`](crate::SimConfig). The engine materialises it into a
-//! [`FaultInjector`] at the start of each run and consults the injector
-//! every slot, so the PHY sees faults the moment they fire.
+//! `FaultInjector` at the start of each run and advances the injector
+//! through the run — at every slot, or only at the slots where its state
+//! changes when nothing in the plan draws per slot — so the PHY sees
+//! faults the moment they fire.
 //!
 //! Determinism: the injector owns its *own* RNG stream (seeded from
 //! [`FaultPlan::seed`]), entirely separate from the engine's reception RNG.
@@ -175,8 +177,9 @@ impl FaultPlan {
     /// Whether executing the plan consumes injector-RNG draws on every slot
     /// (pending stochastic triggers, active spawned interferers). Plans for
     /// which this is false fire at precomputable slots, which is half of the
-    /// event engine's draw-order contract (DESIGN.md §13) — the other half
-    /// is an empty [`SimConfig::interferers`](crate::SimConfig::interferers).
+    /// draw-order contract under which a run skips idle slots (DESIGN.md
+    /// §13) — the other half is an empty
+    /// [`SimConfig::interferers`](crate::SimConfig::interferers).
     pub fn draws_per_slot(&self) -> bool {
         self.events.iter().any(|e| {
             matches!(e.trigger, FaultTrigger::Stochastic { .. })
@@ -184,47 +187,16 @@ impl FaultPlan {
         })
     }
 
-    /// Event-engine hook: resolves every stochastic trigger to a concrete
-    /// firing slot, sampled once from a per-event RNG stream instead of one
-    /// Bernoulli draw per slot. The firing slot is geometric in the per-slot
-    /// probability — statistically identical to the slot-stepper's
-    /// draw-per-slot discipline — and events that would fire at or after
-    /// `total_slots` resolve to `AtSlot(total_slots)`, which never fires
-    /// within the run. Scheduled triggers and event order are untouched, so
-    /// plans without stochastic triggers resolve to themselves.
-    #[must_use]
-    pub(crate) fn resolve_stochastic(&self, total_slots: u64) -> FaultPlan {
-        if self.events.iter().all(|e| !matches!(e.trigger, FaultTrigger::Stochastic { .. })) {
-            return self.clone();
-        }
-        let events = self
-            .events
-            .iter()
-            .enumerate()
-            .map(|(i, e)| {
-                let mut e = e.clone();
-                if let FaultTrigger::Stochastic { per_slot } = e.trigger {
-                    let mut rng =
-                        StdRng::seed_from_u64(mix64(self.seed, STOCHASTIC_SALT ^ i as u64));
-                    e.trigger =
-                        FaultTrigger::AtSlot(geometric_slot(&mut rng, per_slot, total_slots));
-                }
-                e
-            })
-            .collect();
-        FaultPlan { seed: self.seed, events }
-    }
-
-    /// Event-engine hook: the absolute slots at which this plan's *resolved*
-    /// state machine changes — firings and expiries — clipped to
-    /// `total_slots`. Only meaningful on a plan whose triggers are all
-    /// `AtSlot` (i.e. after [`FaultPlan::resolve_stochastic`]). Sorted,
-    /// deduplicated.
+    /// The absolute slots, clipped to `total_slots`, at which the
+    /// injector's state changes — firings and expiries. Sorted and
+    /// deduplicated. Only meaningful on a plan without stochastic triggers,
+    /// whose state changes at precomputable slots: the busy-slot walk
+    /// advances the injector only at these slots.
     pub(crate) fn change_slots(&self, total_slots: u64) -> Vec<u64> {
         let mut out = Vec::new();
         for e in &self.events {
             let FaultTrigger::AtSlot(fire) = e.trigger else {
-                debug_assert!(false, "change_slots needs a resolved plan");
+                debug_assert!(false, "change_slots needs scheduled triggers only");
                 continue;
             };
             if fire >= total_slots {
@@ -232,8 +204,8 @@ impl FaultPlan {
             }
             out.push(fire);
             if let Some(d) = e.duration {
-                // the slot-stepper notices an expiry at `fired + duration`,
-                // except duration 0 which it first re-examines one slot later
+                // the every-slot walk notices an expiry at `fired + duration`,
+                // except duration 0, which it first re-examines one slot later
                 let clear = fire.saturating_add(d.max(1));
                 if clear < total_slots {
                     out.push(clear);
@@ -327,40 +299,6 @@ impl FaultLog {
     }
 }
 
-/// Salt of the per-event stochastic-trigger streams (`resolve_stochastic`).
-const STOCHASTIC_SALT: u64 = 0x570C_4A57;
-
-/// SplitMix64 finalizer over `base ^ salt`: derives well-separated seeds for
-/// the event engine's dedicated RNG streams from one user-facing seed.
-pub(crate) fn mix64(base: u64, salt: u64) -> u64 {
-    let mut z = base ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Samples the firing slot of a per-slot-Bernoulli(`p`) trigger by inverting
-/// the geometric CDF: one uniform draw replaces one draw per slot. Returns
-/// `total_slots` (i.e. "never, within this run") for `p = 0` or a tail draw
-/// past the end of the run.
-fn geometric_slot<R: Rng + ?Sized>(rng: &mut R, p: f64, total_slots: u64) -> u64 {
-    if p <= 0.0 {
-        return total_slots;
-    }
-    if p >= 1.0 {
-        return 0;
-    }
-    let u: f64 = rng.gen();
-    // floor(ln(1-u) / ln(1-p)): the number of failures before the first
-    // success of independent Bernoulli(p) trials
-    let delay = ((1.0 - u).ln() / (1.0 - p).ln()).floor();
-    if !delay.is_finite() || delay >= total_slots as f64 {
-        total_slots
-    } else {
-        delay.max(0.0) as u64
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EventStatus {
     Pending,
@@ -369,7 +307,7 @@ enum EventStatus {
 }
 
 /// The per-run materialisation of a [`FaultPlan`]: tracks which events are
-/// pending / active / expired as the engine advances slot by slot, and
+/// pending / active / expired as the run advances through the slots, and
 /// answers the PHY's per-transmission queries.
 #[derive(Debug)]
 pub(crate) struct FaultInjector {
@@ -390,7 +328,8 @@ impl FaultInjector {
     }
 
     /// Advances the injector to `asn`: fires due triggers, expires finished
-    /// events. Called once per slot, in slot order.
+    /// events. Called in slot order: every slot, or only at the plan's
+    /// [`FaultPlan::change_slots`] when the plan draws nothing per slot.
     pub fn advance(&mut self, asn: u64) {
         for i in 0..self.events.len() {
             match self.status[i] {
@@ -493,20 +432,6 @@ impl FaultInjector {
                 }
             }
         }
-    }
-
-    /// Event-engine hook: the currently active spawned interferers with
-    /// their event indices, *without* consuming any duty-cycle draws — the
-    /// event engine gates each spawn on its own dedicated RNG stream.
-    pub fn active_spawns(&self) -> impl Iterator<Item = (usize, &WifiInterferer)> {
-        self.events.iter().zip(&self.status).enumerate().filter_map(|(i, (e, s))| {
-            match (&e.kind, s) {
-                (FaultKind::SpawnInterferer { interferer }, EventStatus::Active { .. }) => {
-                    Some((i, interferer))
-                }
-                _ => None,
-            }
-        })
     }
 
     /// Consumes the injector, returning what fired.
@@ -660,39 +585,6 @@ mod tests {
     }
 
     #[test]
-    fn resolve_stochastic_is_deterministic_and_geometric() {
-        let scheduled = FaultPlan::new(4).crash_at(7, NodeId::new(1));
-        assert_eq!(scheduled.resolve_stochastic(100), scheduled, "no stochastic → unchanged");
-        let plan = FaultPlan::new(4).with(FaultEvent {
-            trigger: FaultTrigger::Stochastic { per_slot: 0.1 },
-            duration: None,
-            kind: FaultKind::CrashNode { node: NodeId::new(0) },
-        });
-        assert_eq!(plan.resolve_stochastic(10_000), plan.resolve_stochastic(10_000));
-        // the sampled firing slot is geometric: its mean over many seeds
-        // approaches (1-p)/p = 9
-        let mean = (0..2000u64)
-            .map(|s| {
-                let mut p = plan.clone();
-                p.seed = s;
-                match p.resolve_stochastic(1_000_000).events[0].trigger {
-                    FaultTrigger::AtSlot(slot) => slot as f64,
-                    FaultTrigger::Stochastic { .. } => panic!("must resolve"),
-                }
-            })
-            .sum::<f64>()
-            / 2000.0;
-        assert!((8.0..11.0).contains(&mean), "geometric mean {mean} should be near 9");
-        // p = 0 never fires within the run
-        let never = FaultPlan::new(4).with(FaultEvent {
-            trigger: FaultTrigger::Stochastic { per_slot: 0.0 },
-            duration: None,
-            kind: FaultKind::CrashNode { node: NodeId::new(0) },
-        });
-        assert_eq!(never.resolve_stochastic(50).events[0].trigger, FaultTrigger::AtSlot(50));
-    }
-
-    #[test]
     fn change_slots_cover_firings_and_expiries() {
         let plan = FaultPlan::new(1)
             .crash_at(10, NodeId::new(0))
@@ -713,21 +605,6 @@ mod tests {
             kind: FaultKind::CrashNode { node: NodeId::new(0) },
         });
         assert_eq!(zero.change_slots(50), vec![4, 5]);
-    }
-
-    #[test]
-    fn active_spawns_expose_live_interferers_without_draws() {
-        let wifi = WifiInterferer::wifi_channel_1(Position::new(0.0, 0.0, 0.0), 10.0, 0.5);
-        let plan =
-            FaultPlan::new(7).crash_at(0, NodeId::new(0)).spawn_wifi_at(3, wifi.clone(), Some(4));
-        let mut inj = FaultInjector::new(&plan);
-        inj.advance(0);
-        assert_eq!(inj.active_spawns().count(), 0);
-        inj.advance(3);
-        let spawns: Vec<_> = inj.active_spawns().map(|(i, _)| i).collect();
-        assert_eq!(spawns, vec![1]);
-        inj.advance(7);
-        assert_eq!(inj.active_spawns().count(), 0, "expired spawn disappears");
     }
 
     #[test]

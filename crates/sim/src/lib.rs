@@ -58,7 +58,6 @@ pub mod coexistence;
 mod config;
 mod engine;
 mod error;
-mod events;
 pub mod faults;
 pub mod interference;
 mod phy;
@@ -66,7 +65,7 @@ mod report;
 pub mod trace;
 
 pub use autonomous::AutonomousSimulator;
-pub use config::{CaptureModel, FadingModel, SimConfig, SimEngine};
+pub use config::{CaptureModel, FadingModel, SimConfig};
 pub use engine::Simulator;
 pub use error::SimError;
 pub use faults::{FaultEvent, FaultKind, FaultLog, FaultPlan, FaultRecord, FaultTrigger};

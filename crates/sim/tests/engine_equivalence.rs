@@ -1,17 +1,19 @@
-//! Oracle-equivalence suite: the event-driven engine against the
-//! slot-stepper.
+//! Oracle-equivalence suite: `Simulator::run` against the every-slot walk.
 //!
-//! The slot-stepper is the golden oracle (its own output is pinned by
-//! `golden_report.rs`). This suite pins the event engine to it along the
-//! draw-order contract of DESIGN.md §13:
+//! Inside the draw-order contract of DESIGN.md §13 (no environment
+//! interferers, no stochastic fault triggers, no spawned interferers) a run
+//! visits only the busy slots of the slotframe; outside it, every slot. The
+//! every-slot walk is the oracle (`Simulator::try_run_every_slot`, whose
+//! bytes `golden_report.rs` pins). This suite holds the two walks together:
 //!
-//! * **inside the contract** (no environment interferers, no stochastic
-//!   fault triggers, no spawned interferers) the engines must agree **byte
-//!   for byte** — reports, fault logs, and traces — across dense, sparse,
-//!   faulted, and traced scenarios, plus randomized small topologies;
-//! * **outside the contract** the engines draw from independent streams and
-//!   must agree *statistically*: a two-sample K-S test on pooled delivery
-//!   latencies accepts, and mean PDRs coincide closely.
+//! * **inside the contract** they must agree **byte for byte** — reports,
+//!   fault logs and traces — across dense, sparse, faulted and traced
+//!   scenarios, plus randomized small topologies with faults firing and
+//!   clearing at arbitrary ASNs;
+//! * **outside the contract** a run must walk every slot, so it again
+//!   equals the oracle byte for byte, whichever per-slot source (an
+//!   environment interferer, a stochastic trigger, a spawned interferer)
+//!   takes it out.
 
 use proptest::prelude::*;
 use wsan_core::{NetworkModel, NoReuse, Scheduler};
@@ -21,17 +23,21 @@ use wsan_flow::{
 use wsan_net::propagation::PropagationModel;
 use wsan_net::{testbeds, ChannelId, ChannelSet, NodeId, Position, Prr, Route, Topology};
 use wsan_sim::{
-    FaultEvent, FaultKind, FaultPlan, FaultTrigger, SimConfig, SimEngine, Simulator, TraceBuffer,
-    WifiInterferer,
+    FaultEvent, FaultKind, FaultLog, FaultPlan, FaultTrigger, SimConfig, SimReport, Simulator,
+    TraceBuffer, WifiInterferer,
 };
-use wsan_stats::ks::{two_sample, KsOutcome};
 
 fn n(i: usize) -> NodeId {
     NodeId::new(i)
 }
 
+/// The every-slot walk of `cfg`, untraced.
+fn oracle(sim: &Simulator<'_>, cfg: &SimConfig) -> (SimReport, FaultLog) {
+    sim.try_run_every_slot(cfg, None).unwrap()
+}
+
 /// The dense catalog scenario: the WUSTL synthetic testbed under
-/// conservative reuse, every slot of the frame in use somewhere.
+/// conservative reuse, 18 of its 100 frame slots busy.
 fn dense() -> (Topology, ChannelSet, wsan_flow::FlowSet, wsan_core::Schedule) {
     let topo = testbeds::wustl(5);
     let channels = ChannelId::range(11, 14).unwrap();
@@ -100,14 +106,7 @@ fn dense_contract_run_is_byte_identical() {
     let (topo, channels, flows, schedule) = dense();
     let sim = Simulator::new(&topo, &channels, &flows, &schedule);
     let cfg = SimConfig { seed: 42, repetitions: 30, window_reps: 5, ..SimConfig::default() };
-    let oracle = sim.run(&cfg);
-    let events = sim.run_events(&cfg);
-    assert_eq!(oracle, events, "dense contract scenario must match byte for byte");
-    // and through the dispatching API
-    assert_eq!(
-        sim.run_with(SimEngine::SlotStepper, &cfg),
-        sim.run_with(SimEngine::EventDriven, &cfg)
-    );
+    assert_eq!(sim.run(&cfg), oracle(&sim, &cfg).0, "dense contract scenario must match");
 }
 
 #[test]
@@ -117,7 +116,7 @@ fn sparse_contract_run_is_byte_identical() {
     let schedule = NoReuse::new().schedule(&flows, &model).unwrap();
     let sim = Simulator::new(&topo, &channels, &flows, &schedule);
     let cfg = SimConfig { seed: 7, repetitions: 200, window_reps: 10, ..SimConfig::default() };
-    assert_eq!(sim.run(&cfg), sim.run_events(&cfg), "sparse scenario must match byte for byte");
+    assert_eq!(sim.run(&cfg), oracle(&sim, &cfg).0, "sparse scenario must match byte for byte");
 }
 
 #[test]
@@ -132,14 +131,11 @@ fn scheduled_faults_match_including_fault_log() {
         faults: contract_faults(schedule.horizon(), victim),
         ..SimConfig::default()
     };
-    let (oracle, oracle_log) = sim.try_run_faulted(&cfg).unwrap();
-    let (events, events_log) = sim.try_run_events_faulted(&cfg).unwrap();
-    assert_eq!(oracle, events, "scheduled-fault reports must match byte for byte");
-    assert_eq!(
-        oracle_log, events_log,
-        "fault logs must match, including firing and clearing slots"
-    );
-    assert!(oracle_log.fired() >= 2, "the plan's events must actually fire");
+    let (report, log) = sim.try_run_faulted(&cfg).unwrap();
+    let (oracle_report, oracle_log) = oracle(&sim, &cfg);
+    assert_eq!(report, oracle_report, "scheduled-fault reports must match byte for byte");
+    assert_eq!(log, oracle_log, "fault logs must match, including firing and clearing slots");
+    assert!(log.fired() >= 2, "the plan's events must actually fire");
 }
 
 #[test]
@@ -154,15 +150,13 @@ fn traced_runs_match_event_for_event() {
         faults: contract_faults(schedule.horizon(), victim),
         ..SimConfig::default()
     };
+    let mut buf = TraceBuffer::with_capacity(1 << 20);
     let mut oracle_buf = TraceBuffer::with_capacity(1 << 20);
-    let mut events_buf = TraceBuffer::with_capacity(1 << 20);
-    let (oracle, _) =
-        sim.try_run_traced_with(SimEngine::SlotStepper, &cfg, &mut oracle_buf).unwrap();
-    let (events, _) =
-        sim.try_run_traced_with(SimEngine::EventDriven, &cfg, &mut events_buf).unwrap();
-    assert_eq!(oracle, events);
+    let (report, _) = sim.try_run_traced(&cfg, &mut buf).unwrap();
+    let (oracle_report, _) = sim.try_run_every_slot(&cfg, Some(&mut oracle_buf)).unwrap();
+    assert_eq!(report, oracle_report);
     assert!(!oracle_buf.events().is_empty());
-    assert_eq!(oracle_buf, events_buf, "traces must match event for event, ASNs included");
+    assert_eq!(buf, oracle_buf, "traces must match event for event, ASNs included");
 }
 
 #[test]
@@ -170,63 +164,48 @@ fn zero_repetitions_agree() {
     let (topo, channels, flows, schedule) = dense();
     let sim = Simulator::new(&topo, &channels, &flows, &schedule);
     let cfg = SimConfig { seed: 1, repetitions: 0, ..SimConfig::default() };
-    assert_eq!(sim.run(&cfg), sim.run_events(&cfg));
+    assert_eq!(sim.run(&cfg), oracle(&sim, &cfg).0);
 }
 
-/// Outside the contract the engines use independent RNG streams for the
-/// duty gates and stochastic triggers, so outputs differ byte-wise but must
-/// agree in distribution: pooled delivery latencies pass a two-sample K-S
-/// test and mean PDRs coincide.
+/// Each per-slot randomness source alone takes a run outside the contract,
+/// so the run walks every slot and equals the oracle byte for byte. A run
+/// that skipped idle slots here would draw no duty gate and fire no
+/// stochastic fault in them, and would differ.
 #[test]
-fn outside_contract_is_statistically_equivalent() {
+fn outside_contract_runs_every_slot() {
     let (topo, channels, flows, schedule) = dense();
     let sim = Simulator::new(&topo, &channels, &flows, &schedule);
-    let spawn = WifiInterferer::wifi_channel_1(Position::new(30.0, 30.0, 0.0), 10.0, 0.3);
-    let mut oracle_lat: Vec<f64> = Vec::new();
-    let mut events_lat: Vec<f64> = Vec::new();
-    let mut oracle_pdr = 0.0;
-    let mut events_pdr = 0.0;
-    let seeds = 8u64;
-    for seed in 0..seeds {
-        let faults = FaultPlan::new(seed ^ 0xF0)
-            .spawn_wifi_at(u64::from(schedule.horizon()) * 3, spawn.clone(), None)
-            .with(FaultEvent {
-                trigger: FaultTrigger::Stochastic { per_slot: 0.001 },
-                duration: Some(u64::from(schedule.horizon()) * 5),
-                kind: FaultKind::CrashNode { node: n(7) },
-            });
-        let cfg = SimConfig {
-            seed,
-            repetitions: 25,
-            window_reps: 5,
-            interferers: vec![WifiInterferer::wifi_channel_1(
-                Position::new(10.0, 5.0, 0.0),
-                10.0,
-                0.2,
-            )],
-            faults,
-            ..SimConfig::default()
-        };
-        let oracle = sim.run(&cfg);
-        let events = sim.run_events(&cfg);
-        oracle_lat.extend(oracle.latencies.iter().flatten().map(|&l| f64::from(l)));
-        events_lat.extend(events.latencies.iter().flatten().map(|&l| f64::from(l)));
-        oracle_pdr += oracle.network_pdr() / seeds as f64;
-        events_pdr += events.network_pdr() / seeds as f64;
+    let horizon = u64::from(schedule.horizon());
+    let wifi = WifiInterferer::wifi_channel_1(Position::new(10.0, 5.0, 0.0), 10.0, 0.3);
+    let base = SimConfig { seed: 5, repetitions: 25, window_reps: 5, ..SimConfig::default() };
+    let cases = [
+        ("environment interferer", SimConfig { interferers: vec![wifi.clone()], ..base.clone() }),
+        (
+            "stochastic trigger",
+            SimConfig {
+                faults: FaultPlan::new(0xF0).with(FaultEvent {
+                    trigger: FaultTrigger::Stochastic { per_slot: 0.002 },
+                    duration: Some(horizon * 5),
+                    kind: FaultKind::CrashNode { node: schedule.entries()[0].tx.link.rx },
+                }),
+                ..base.clone()
+            },
+        ),
+        (
+            "spawned interferer",
+            SimConfig {
+                faults: FaultPlan::new(0xF1).spawn_wifi_at(horizon * 3, wifi, None),
+                ..base.clone()
+            },
+        ),
+    ];
+    for (label, cfg) in &cases {
+        let (report, log) = sim.try_run_faulted(cfg).unwrap();
+        let (oracle_report, oracle_log) = oracle(&sim, cfg);
+        assert_eq!(report, oracle_report, "{label}: report must equal the every-slot walk");
+        assert_eq!(log, oracle_log, "{label}: fault log must equal the every-slot walk");
+        assert_eq!(log.fired(), usize::from(!cfg.faults.is_empty()), "{label}: the fault fires");
     }
-    assert!(oracle_lat.len() > 500 && events_lat.len() > 500, "need real sample sizes");
-    let ks = two_sample(&oracle_lat, &events_lat).unwrap();
-    assert_eq!(
-        ks.outcome(0.01),
-        KsOutcome::Accept,
-        "latency distributions must be K-S-indistinguishable: D={} p={}",
-        ks.statistic(),
-        ks.p_value()
-    );
-    assert!(
-        (oracle_pdr - events_pdr).abs() < 0.02,
-        "mean PDRs must coincide: oracle {oracle_pdr} events {events_pdr}"
-    );
 }
 
 /// Strategy for small random contract scenarios: a chain of 3–6 nodes with
@@ -237,14 +216,56 @@ fn arb_scenario() -> impl Strategy<Value = (u64, usize, u8, u8)> {
     (0u64..1 << 16, 3usize..=6, 5u8..=10, 0u8..4)
 }
 
+/// Strategy for contract fault plans: up to four scheduled events, each
+/// (firing point in per-mille of the run, duration selector, kind selector,
+/// target selector). Many ASNs of a small schedule are idle, so faults
+/// often fire and clear between transmissions.
+fn arb_faults() -> impl Strategy<Value = Vec<(u64, u8, u8, usize)>> {
+    proptest::collection::vec((0u64..1000, 0u8..4, 0u8..2, 0usize..64), 0..5)
+}
+
+/// Builds the plan `arb_faults` drew for a run of `total_slots` slots.
+fn contract_plan(
+    seed: u64,
+    raw: &[(u64, u8, u8, usize)],
+    total_slots: u64,
+    nodes: usize,
+    links: &[wsan_net::DirectedLink],
+) -> FaultPlan {
+    raw.iter().fold(FaultPlan::new(seed), |plan, &(permille, dsel, ksel, target)| {
+        let duration = match dsel {
+            0 => None,
+            1 => Some(0),
+            2 => Some(1),
+            _ => Some(2 + target as u64 % 30),
+        };
+        let kind = if ksel == 0 {
+            FaultKind::CrashNode { node: n(target % nodes) }
+        } else {
+            FaultKind::CollapseLink {
+                link: links[target % links.len()],
+                channels: None,
+                prr: 0.1 * (target % 5) as f64,
+            }
+        };
+        plan.with(FaultEvent {
+            trigger: FaultTrigger::AtSlot(permille * total_slots / 1000),
+            duration,
+            kind,
+        })
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Inside the contract, every random small scenario agrees byte for
-    /// byte between the two engines.
+    /// byte with the every-slot walk, plain and under a random scheduled
+    /// fault plan.
     #[test]
     fn random_contract_scenarios_are_byte_identical(
-        (seed, nodes, prr_decile, psel) in arb_scenario()
+        (seed, nodes, prr_decile, psel) in arb_scenario(),
+        raw_faults in arb_faults(),
     ) {
         let spacing = 6.0 + (seed % 5) as f64;
         let mut topo = Topology::new(
@@ -284,15 +305,16 @@ proptest! {
         };
         let sim = Simulator::new(&topo, &channels, &flows, &schedule);
         let cfg = SimConfig { seed, repetitions: 15, window_reps: 4, ..SimConfig::default() };
-        prop_assert_eq!(sim.run(&cfg), sim.run_events(&cfg));
-        // …and with a scheduled fault plan in play
+        prop_assert_eq!(sim.run(&cfg), oracle(&sim, &cfg).0);
+        let links: Vec<_> = schedule.entries().iter().map(|e| e.tx.link).collect();
+        let total_slots = u64::from(cfg.repetitions) * u64::from(schedule.horizon());
         let faulted = SimConfig {
-            faults: FaultPlan::new(seed).crash_at(u64::from(schedule.horizon()) * 5, n(nodes - 1)),
+            faults: contract_plan(seed, &raw_faults, total_slots, nodes, &links),
             ..cfg
         };
-        let (ro, lo) = sim.try_run_faulted(&faulted).unwrap();
-        let (re, le) = sim.try_run_events_faulted(&faulted).unwrap();
-        prop_assert_eq!(ro, re);
-        prop_assert_eq!(lo, le);
+        let (report, log) = sim.try_run_faulted(&faulted).unwrap();
+        let (oracle_report, oracle_log) = oracle(&sim, &faulted);
+        prop_assert_eq!(report, oracle_report);
+        prop_assert_eq!(log, oracle_log);
     }
 }
