@@ -9,6 +9,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc -D warnings (every workspace crate, broken intra-doc links fail)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
@@ -29,6 +32,7 @@ echo "$eq_prop" | grep -q "equivalence_capped_hops_conservative_for_every_rho"
 echo "$eq_prop" | grep -q "equivalence_exact_hops_matches_dense"
 echo "$eq_prop" | grep -q "equivalence_parallel_capped_build_is_byte_identical"
 echo "$eq_prop" | grep -q "equivalence_restricted_extraction_matches_dense"
+echo "$eq_prop" | grep -q "equivalence_hop_kernel_on_dense_multi_block_graphs"
 echo "$eq_prop" | grep -q "equivalence_csr_build_matches_sorted_reference"
 
 echo "==> shard routing-graph equivalence suite runs in the default pass"

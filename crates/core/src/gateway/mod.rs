@@ -27,15 +27,16 @@
 //!
 //! **Feasibility ladder.** When the delta run reports the set unschedulable,
 //! flows are shed in *inverse Deadline-Monotonic order* (longest relative
-//! deadline first), exactly like [`recovery::recover`]: the least-urgent
-//! flows are sacrificed, and if the newcomer is itself the least urgent it
-//! is the one rejected — the operation then fails without touching state.
+//! deadline first), exactly like
+//! [`recovery::recover`](crate::recovery::recover): the least-urgent flows
+//! are sacrificed, and if the newcomer is itself the least urgent it is
+//! the one rejected — the operation then fails without touching state.
 //! Every operation is atomic: on any error the previous schedule keeps
 //! serving.
 //!
 //! In debug builds — and in release when [`GatewayConfig::paranoid`] is set
 //! — every accepted delta result is re-checked by the independent
-//! [`validate`](crate::validate) checker; a violation surfaces as
+//! [`validate`] checker; a violation surfaces as
 //! [`ScheduleError::Inconsistent`] instead of a corrupt schedule being
 //! served.
 //!
@@ -177,7 +178,7 @@ pub enum GatewayError {
         name: String,
     },
     /// The underlying scheduler failed (including a failed
-    /// [`validate`](crate::validate) re-check, surfaced as
+    /// [`validate`] re-check, surfaced as
     /// [`ScheduleError::Inconsistent`]).
     Schedule(ScheduleError),
 }
@@ -408,8 +409,9 @@ impl GatewayState {
 
     /// Retires `links` (dead radio links): future admissions may not route
     /// over them, flows currently crossing one are evicted, and the
-    /// survivors are recovered through the [`recovery::recover`]
-    /// repair→reschedule ladder.
+    /// survivors are recovered through the
+    /// [`recovery::recover`](crate::recovery::recover) repair→reschedule
+    /// ladder.
     ///
     /// # Errors
     ///

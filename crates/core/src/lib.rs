@@ -28,7 +28,7 @@
 //!
 //! The hot path ([`constraints`], [`laxity`]) runs word-level bitset scans
 //! and rank caches; the pre-optimization slot-by-slot forms live on in
-//! [`reference`] as the equivalence and benchmark baseline.
+//! [`reference`](mod@reference) as the equivalence and benchmark baseline.
 //!
 //! # Example
 //!

@@ -2,7 +2,7 @@
 //! necessary, shed flows when nothing else restores feasibility.
 //!
 //! The §VI detection policy tells the network manager *which* links channel
-//! reuse degrades; [`repair`](crate::repair) moves those links'
+//! reuse degrades; [`repair`] moves those links'
 //! transmissions into contention-free cells. But injected faults can exceed
 //! what local repair fixes: a crashed relay or a fully collapsed link
 //! carries no traffic on *any* channel, and a dense workload may leave no
@@ -21,7 +21,7 @@
 //!    reported.
 //!
 //! Every successful outcome is re-checked with the independent
-//! [`validate`](crate::validate) checker before it is returned, so a
+//! [`validate`] checker before it is returned, so a
 //! recovered schedule is never weaker than a freshly built one.
 
 use crate::repair::{self, RepairReport};

@@ -3,7 +3,7 @@
 //! A single network manager cannot schedule a 10k-node plant as one
 //! problem: the hop-matrix alone is quadratic and every admission would
 //! touch the whole timeline. This module partitions a
-//! [`Plant`](wsan_net::plants::Plant) into per-gateway *shards*, lets each
+//! [`Plant`] into per-gateway *shards*, lets each
 //! shard schedule independently (in parallel — see `wsan_expr::sharding`),
 //! and stitches the per-shard schedules into one whole-network schedule
 //! that provably respects the §V-A conservative channel-reuse constraint:

@@ -10,10 +10,11 @@
 //! cell, kept as the small-graph oracle) and [`CappedHops`], which stores
 //! distances *saturated at a cap* in one or two bytes per cell. §V-A only
 //! ever asks `hops(a,b) ≥ ρ`, so a saturated distance is exact below the
-//! cap and conservative (reuse denied) at or above it. Both are filled by a
-//! bit-parallel multi-source BFS that advances 64 sources per sweep and
-//! fans blocks out over a worker pool; block results are concatenated in
-//! index order, so the output is byte-identical for any worker count.
+//! cap and conservative (reuse denied) at or above it. The capped tables
+//! are filled by a bit-parallel multi-source BFS that advances 64 sources
+//! per sweep, picks push or pull per level, and stops once every wanted
+//! cell is filled; blocks fan out over a worker pool and are concatenated
+//! in index order, so the output is byte-identical for any worker count.
 
 use crate::parallel::parallel_map_with;
 use crate::{ChannelSet, DirectedLink, NodeId, Prr, Topology};
@@ -179,67 +180,127 @@ impl Adjacency {
         dist
     }
 
-    /// Bit-parallel BFS from up to 64 sources at once: each source owns a
-    /// bit lane in per-node `u64` masks, and one level-synchronous sweep
-    /// over the CSR arrays advances all lanes together — `levels × E` word
-    /// operations per block instead of `64 × E` scalar visits. `record` is
-    /// called once per `(lane, node, level)` the first time a lane reaches
-    /// a node (sources at level 0); propagation stops after level `cap`.
+    /// Every node id, ascending: the column set of a whole-graph table.
+    fn nodes(&self) -> Vec<NodeId> {
+        (0..self.n).map(NodeId::new).collect()
+    }
+
+    /// The column of each node in a table over `nodes` (`nodes[c]` is
+    /// column `c`), `u32::MAX` for nodes outside it.
     ///
-    /// Returns `reached_at_cap`: whether any node was first reached at
-    /// level exactly `cap`, i.e. whether nodes *beyond* the cap may exist.
-    fn multi_bfs_block<F: FnMut(usize, usize, u32)>(
+    /// # Panics
+    ///
+    /// Panics if `nodes` repeats a node.
+    fn column_map(&self, nodes: &[NodeId]) -> Vec<u32> {
+        let mut col_of = vec![u32::MAX; self.n];
+        for (c, g) in nodes.iter().enumerate() {
+            assert!(col_of[g.index()] == u32::MAX, "restricted hop table repeats node {g:?}");
+            col_of[g.index()] = c as u32;
+        }
+        col_of
+    }
+
+    /// Bit-parallel BFS from up to 64 distinct sources at once: each source
+    /// owns a bit lane in per-node `u64` masks, and one level-synchronous
+    /// pass advances all lanes together. The cells of the block are the
+    /// (lane, column) pairs, where node `v` is column `col_of[v]` and
+    /// `u32::MAX` marks a node that is no column.
+    ///
+    /// Each level goes the way that scans fewer CSR entries, judged by two
+    /// degree sums kept as the sweep runs: *push* ORs every frontier row
+    /// into its neighbors (the frontier's degree sum), *pull* ORs, for each
+    /// node some lane has not reached yet, its neighbors' frontier masks
+    /// and stops the row once they cover that node's missing lanes (at most
+    /// the degree sum of those nodes). Both give the same masks.
+    ///
+    /// `record(col, lanes, level)` is called once per (column, level) with
+    /// the lanes that first reached that column's node at `level` (sources
+    /// at level 0). The sweep stops after level `cap`, when nothing new is
+    /// reached, or as soon as every cell of the block is filled.
+    ///
+    /// Returns whether some node was first reached at exactly level `cap`
+    /// with cells still unfilled the level before, i.e. whether a cell may
+    /// lie at or beyond the cap.
+    fn multi_bfs_block<F: FnMut(usize, u64, u32)>(
         &self,
         sources: &[NodeId],
+        col_of: &[u32],
+        columns: usize,
         cap: u32,
         mut record: F,
     ) -> bool {
-        debug_assert!(sources.len() <= 64, "one bit lane per source");
+        debug_assert!(!sources.is_empty() && sources.len() <= 64, "one bit lane per source");
         debug_assert!(cap >= 1, "cap 0 cannot store even the sources");
         let n = self.n;
+        let row = |v: usize| &self.targets[self.offsets[v] as usize..self.offsets[v + 1] as usize];
+        let all = u64::MAX >> (64 - sources.len());
         let mut seen = vec![0u64; n];
         let mut frontier = vec![0u64; n];
         let mut next = vec![0u64; n];
+        let mut unfilled = sources.len() * columns;
+        // Entries a push scans, and at most the entries a pull scans.
+        let mut push_cost = 0usize;
+        let mut pull_cost = self.targets.len();
         for (lane, s) in sources.iter().enumerate() {
-            let mask = 1u64 << lane;
-            seen[s.index()] |= mask;
-            frontier[s.index()] |= mask;
-            record(lane, s.index(), 0);
+            let (v, mask) = (s.index(), 1u64 << lane);
+            seen[v] |= mask;
+            frontier[v] |= mask;
+            push_cost += row(v).len();
+            if seen[v] == all {
+                pull_cost -= row(v).len();
+            }
+            if col_of[v] != u32::MAX {
+                unfilled -= 1;
+                record(col_of[v] as usize, mask, 0);
+            }
         }
+        // A level with no frontier entry to scan reaches nothing new.
         let mut level = 0u32;
-        let mut active = true;
-        let mut reached_at_cap = false;
-        while active && level < cap {
+        while unfilled > 0 && push_cost > 0 && level < cap {
             level += 1;
-            for (v, &fm) in frontier.iter().enumerate() {
-                if fm != 0 {
-                    let (start, end) = (self.offsets[v] as usize, self.offsets[v + 1] as usize);
-                    for &w in &self.targets[start..end] {
-                        next[w.index()] |= fm;
+            if pull_cost < push_cost {
+                for v in 0..n {
+                    let missing = all & !seen[v];
+                    let mut lanes = 0u64;
+                    if missing != 0 {
+                        for &w in row(v) {
+                            lanes |= frontier[w.index()];
+                            if lanes & missing == missing {
+                                break;
+                            }
+                        }
+                    }
+                    next[v] = lanes;
+                }
+            } else {
+                next.fill(0);
+                for (v, &lanes) in frontier.iter().enumerate() {
+                    if lanes != 0 {
+                        for &w in row(v) {
+                            next[w.index()] |= lanes;
+                        }
                     }
                 }
             }
-            active = false;
+            push_cost = 0;
             for v in 0..n {
                 let new = next[v] & !seen[v];
-                next[v] = 0;
-                frontier[v] = new;
+                next[v] = new;
                 if new != 0 {
                     seen[v] |= new;
-                    active = true;
-                    let mut lanes = new;
-                    while lanes != 0 {
-                        let lane = lanes.trailing_zeros() as usize;
-                        lanes &= lanes - 1;
-                        record(lane, v, level);
+                    push_cost += row(v).len();
+                    if seen[v] == all {
+                        pull_cost -= row(v).len();
+                    }
+                    if col_of[v] != u32::MAX {
+                        unfilled -= new.count_ones() as usize;
+                        record(col_of[v] as usize, new, level);
                     }
                 }
             }
-            if active && level == cap {
-                reached_at_cap = true;
-            }
+            std::mem::swap(&mut frontier, &mut next);
         }
-        reached_at_cap
+        level == cap && push_cost > 0
     }
 
     /// Matrix-free diameter: the maximum finite eccentricity, computed by
@@ -251,17 +312,11 @@ impl Adjacency {
         }
         // Distances are < n, so a cap of n can never truncate a level.
         let cap = self.n as u32;
-        let blocks = self.n.div_ceil(64);
+        let nodes = self.nodes();
+        let col_of = self.column_map(&nodes);
         let mut max = 0u32;
-        for blk in 0..blocks {
-            let lo = blk * 64;
-            let hi = (lo + 64).min(self.n);
-            let sources: Vec<NodeId> = (lo..hi).map(NodeId::new).collect();
-            self.multi_bfs_block(&sources, cap, |_, _, level| {
-                if level > max {
-                    max = level;
-                }
-            });
+        for sources in nodes.chunks(64) {
+            self.multi_bfs_block(sources, &col_of, self.n, cap, |_, _, level| max = max.max(level));
         }
         max
     }
@@ -402,68 +457,9 @@ impl CappedHops {
         CappedHops { n, cap, max_finite, saturated, cells: wrap(cells) }
     }
 
+    /// Distances measured on the whole graph between the given `nodes`
+    /// (row/column `i` is `nodes[i]`), saturated at `cap`.
     fn build_with<C: Cell>(
-        adj: &Adjacency,
-        cap: u32,
-        jobs: usize,
-        wrap: fn(Vec<C>) -> CappedCells,
-    ) -> Self {
-        assert!(cap >= 1 && cap <= C::LIMIT, "cap {cap} does not fit the cell width");
-        let n = adj.n;
-        if n == 0 {
-            return Self::from_cells(0, cap, 0, false, Vec::new(), wrap);
-        }
-        let blocks = n.div_ceil(64);
-        // Each block computes its own saturated rows; index-ordered
-        // concatenation makes the result identical for any `jobs`.
-        let per: Vec<(Vec<C>, u32, bool)> = parallel_map_with(blocks, jobs, |blk| {
-            let lo = blk * 64;
-            let hi = (lo + 64).min(n);
-            let sources: Vec<NodeId> = (lo..hi).map(NodeId::new).collect();
-            let mut rows = vec![C::encode(cap); (hi - lo) * n];
-            let mut max = 0u32;
-            let reached_at_cap = adj.multi_bfs_block(&sources, cap, |lane, node, level| {
-                rows[lane * n + node] = C::encode(level);
-                if level > max {
-                    max = level;
-                }
-            });
-            (rows, max, reached_at_cap)
-        });
-        let mut cells = Vec::with_capacity(n * n);
-        let mut max_finite = 0u32;
-        let mut saturated = false;
-        for (rows, max, reached) in per {
-            cells.extend_from_slice(&rows);
-            max_finite = max_finite.max(max);
-            saturated |= reached;
-        }
-        Self::from_cells(n, cap, max_finite, saturated, cells, wrap)
-    }
-
-    fn from_adjacency(adj: &Adjacency, cap: u32, jobs: usize) -> Self {
-        if cap <= u8::MAX as u32 {
-            Self::build_with::<u8>(adj, cap, jobs, CappedCells::U8)
-        } else {
-            Self::build_with::<u16>(adj, cap, jobs, CappedCells::U16)
-        }
-    }
-
-    /// Exact-mode build: tries `u8` with the maximum cap (255); if any node
-    /// sits at or beyond that cap, rebuilds as `u16` with cap 65 535, which
-    /// no 65 536-node graph can saturate below its true diameter. The
-    /// result always satisfies `cap ≥ diameter + 1` (schedule-identical to
-    /// the dense matrix) unless the graph's diameter is ≥ 65 535, which the
-    /// `NodeId` space cannot quite express anyway.
-    fn exact_from_adjacency(adj: &Adjacency, jobs: usize) -> Self {
-        let first = Self::build_with::<u8>(adj, u8::MAX as u32, jobs, CappedCells::U8);
-        if !first.saturated {
-            return first;
-        }
-        Self::build_with::<u16>(adj, u16::MAX as u32, jobs, CappedCells::U16)
-    }
-
-    fn restricted_with<C: Cell>(
         adj: &Adjacency,
         nodes: &[NodeId],
         cap: u32,
@@ -472,30 +468,22 @@ impl CappedHops {
     ) -> Self {
         assert!(cap >= 1 && cap <= C::LIMIT, "cap {cap} does not fit the cell width");
         let width = nodes.len();
-        if width == 0 {
-            return Self::from_cells(0, cap, 0, false, Vec::new(), wrap);
-        }
-        // Global node index → restricted column, u32::MAX for non-members.
-        let mut col_of = vec![u32::MAX; adj.n];
-        for (c, node) in nodes.iter().enumerate() {
-            col_of[node.index()] = c as u32;
-        }
-        let blocks = width.div_ceil(64);
-        let per: Vec<(Vec<C>, u32, bool)> = parallel_map_with(blocks, jobs, |blk| {
-            let lo = blk * 64;
-            let hi = (lo + 64).min(width);
-            let sources = &nodes[lo..hi];
-            let mut rows = vec![C::encode(cap); (hi - lo) * width];
+        let col_of = adj.column_map(nodes);
+        // Each block computes its own saturated rows; index-ordered
+        // concatenation makes the result identical for any `jobs`.
+        let per: Vec<(Vec<C>, u32, bool)> = parallel_map_with(width.div_ceil(64), jobs, |blk| {
+            let sources = &nodes[blk * 64..(blk * 64 + 64).min(width)];
+            let mut rows = vec![C::encode(cap); sources.len() * width];
             let mut max = 0u32;
-            let reached_at_cap = adj.multi_bfs_block(sources, cap, |lane, node, level| {
-                let col = col_of[node];
-                if col != u32::MAX {
-                    rows[lane * width + col as usize] = C::encode(level);
-                    if level > max {
-                        max = level;
+            let reached_at_cap =
+                adj.multi_bfs_block(sources, &col_of, width, cap, |col, mut lanes, level| {
+                    while lanes != 0 {
+                        let lane = lanes.trailing_zeros() as usize;
+                        lanes &= lanes - 1;
+                        rows[lane * width + col] = C::encode(level);
                     }
-                }
-            });
+                    max = max.max(level);
+                });
             (rows, max, reached_at_cap)
         });
         let mut cells = Vec::with_capacity(width * width);
@@ -509,12 +497,27 @@ impl CappedHops {
         Self::from_cells(width, cap, max_finite, saturated, cells, wrap)
     }
 
-    fn restricted_from_adjacency(adj: &Adjacency, nodes: &[NodeId], cap: u32, jobs: usize) -> Self {
+    fn from_adjacency(adj: &Adjacency, nodes: &[NodeId], cap: u32, jobs: usize) -> Self {
         if cap <= u8::MAX as u32 {
-            Self::restricted_with::<u8>(adj, nodes, cap, jobs, CappedCells::U8)
+            Self::build_with::<u8>(adj, nodes, cap, jobs, CappedCells::U8)
         } else {
-            Self::restricted_with::<u16>(adj, nodes, cap, jobs, CappedCells::U16)
+            Self::build_with::<u16>(adj, nodes, cap, jobs, CappedCells::U16)
         }
+    }
+
+    /// Exact-mode build: tries `u8` with the maximum cap (255); if any node
+    /// sits at or beyond that cap, rebuilds as `u16` with cap 65 535, which
+    /// no 65 536-node graph can saturate below its true diameter. The
+    /// result always satisfies `cap ≥ diameter + 1` (schedule-identical to
+    /// the dense matrix) unless the graph's diameter is ≥ 65 535, which the
+    /// `NodeId` space cannot quite express anyway.
+    fn exact_from_adjacency(adj: &Adjacency, jobs: usize) -> Self {
+        let nodes = adj.nodes();
+        let first = Self::build_with::<u8>(adj, &nodes, u8::MAX as u32, jobs, CappedCells::U8);
+        if !first.saturated {
+            return first;
+        }
+        Self::build_with::<u16>(adj, &nodes, u16::MAX as u32, jobs, CappedCells::U16)
     }
 
     /// Saturates a dense matrix into capped form with `cap = diameter + 1`
@@ -580,7 +583,9 @@ impl CappedHops {
     /// Whether any distance may have been truncated: some node was first
     /// reached at exactly `cap` hops, so pairs beyond the cap may exist.
     /// When `false`, `cap ≥ diameter + 1` and every finite distance is
-    /// stored exactly.
+    /// stored exactly. For a table from
+    /// [`capped_hops_restricted`](ReuseGraph::capped_hops_restricted) this
+    /// speaks of member pairs only.
     pub fn saturated(&self) -> bool {
         self.saturated
     }
@@ -666,7 +671,7 @@ macro_rules! graph_common {
             /// built by the bit-parallel multi-source BFS on up to `jobs`
             /// workers (`0` = all cores). Byte-identical for any `jobs`.
             pub fn capped_hops(&self, cap: u32, jobs: usize) -> CappedHops {
-                CappedHops::from_adjacency(&self.adj, cap, jobs)
+                CappedHops::from_adjacency(&self.adj, &self.adj.nodes(), cap, jobs)
             }
 
             /// All-pairs distances with an automatically chosen cap that
@@ -682,13 +687,25 @@ macro_rules! graph_common {
             /// saturated at `cap`. This is the shard-extraction primitive:
             /// per-shard scheduling needs global reuse distances restricted
             /// to the shard's members.
+            ///
+            /// Each wave stops once it has reached every member, so the
+            /// table's [`saturated`](CappedHops::saturated) speaks of
+            /// member pairs only: when it is `false`, every member pair's
+            /// distance is stored exactly (unreachable pairs at `cap`);
+            /// when some member pair lies a finite distance `≥ cap` apart,
+            /// it is `true`. Non-members first reached at the cap after
+            /// the members are done do not count.
+            ///
+            /// # Panics
+            ///
+            /// Panics if `nodes` repeats a node.
             pub fn capped_hops_restricted(
                 &self,
                 nodes: &[NodeId],
                 cap: u32,
                 jobs: usize,
             ) -> CappedHops {
-                CappedHops::restricted_from_adjacency(&self.adj, nodes, cap, jobs)
+                CappedHops::from_adjacency(&self.adj, nodes, cap, jobs)
             }
 
             /// Graph diameter: the maximum finite shortest-path length.
@@ -1036,6 +1053,29 @@ mod tests {
                 assert_eq!(capped.hops(n(i), n(j)), dense.hops(a, b), "{a:?}->{b:?}");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "repeats node")]
+    fn restricted_extraction_rejects_repeated_members() {
+        // a repeated member would leave its first column at the cap
+        let _ = path4().capped_hops_restricted(&[n(0), n(3), n(0)], 10, 1);
+    }
+
+    #[test]
+    fn restricted_saturation_speaks_of_members_only() {
+        // path 0 - … - 7: members 0 and 2 are done at level 2, before the
+        // non-member 7 is reached at the cap of 7
+        let edges: Vec<_> = (0..7).map(|i| (n(i), n(i + 1))).collect();
+        let g = ReuseGraph::from_edges(8, &edges);
+        let near = g.capped_hops_restricted(&[n(0), n(2)], 7, 1);
+        assert!(!near.saturated());
+        assert_eq!(near.hops(n(0), n(1)), 2);
+        assert_eq!(near.diameter(), 2);
+        // a member pair exactly at the cap
+        let at_cap = g.capped_hops_restricted(&[n(0), n(7)], 7, 1);
+        assert!(at_cap.saturated());
+        assert_eq!(at_cap.hops(n(0), n(1)), 7);
     }
 
     #[test]

@@ -4,6 +4,8 @@
 //! mathematics it implements.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 use wsan::core::{validate, NetworkModel, Scheduler};
 use wsan::expr::Algorithm;
@@ -31,6 +33,35 @@ fn arb_reuse_graph(max_nodes: usize) -> impl Strategy<Value = ReuseGraph> {
             ReuseGraph::from_edges(n, &edges)
         },
     )
+}
+
+/// A dense random reuse graph of 200–279 nodes in two or three components,
+/// for the multi-block hop-table kernel. The components are contiguous id
+/// ranges, the first holding about two thirds of the nodes; each is a
+/// spanning chain plus random chords at a mean degree of 8–47, so blocks of
+/// 64 consecutive sources sweep a low-diameter graph whose later levels
+/// pull. Drawn from one seed so the edge count can run into the thousands.
+fn arb_dense_components() -> impl Strategy<Value = ReuseGraph> {
+    (200usize..280, 2usize..4, 8usize..48, 0u64..u64::MAX).prop_map(|(n, parts, degree, seed)| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let small = n / 6;
+        let mut cuts = vec![0, n - (parts - 1) * small];
+        for p in 1..parts {
+            cuts.push(cuts[p] + small);
+        }
+        let mut edges = Vec::new();
+        for range in cuts.windows(2) {
+            let (lo, hi) = (range[0], range[1]);
+            edges.extend((lo..hi - 1).map(|i| (NodeId::new(i), NodeId::new(i + 1))));
+            for _ in 0..(hi - lo) * degree / 2 {
+                let (a, b) = (rng.gen_range(lo..hi), rng.gen_range(lo..hi));
+                if a != b {
+                    edges.push((NodeId::new(a), NodeId::new(b)));
+                }
+            }
+        }
+        ReuseGraph::from_edges(n, &edges)
+    })
 }
 
 /// A raw undirected edge list for the CSR builder: `n` is 0 or 1 a quarter
@@ -487,6 +518,89 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// The hop-table kernel where the small-graph suites never reach:
+    /// several 64-lane blocks with a full first mask, members in other
+    /// components (unreachable cells), dense graphs whose sweeps pull, and
+    /// caps from below to above the diameter. The restricted, capped and
+    /// exact tables all agree with the dense matrix, and a restricted
+    /// table's `saturated()` keeps its member-pair contract: when it is
+    /// `false` every member cell is the exact distance (the cap when
+    /// unreachable), and a member pair a finite distance `≥ cap` apart
+    /// makes it `true`.
+    #[test]
+    fn equivalence_hop_kernel_on_dense_multi_block_graphs(
+        graph in arb_dense_components(),
+        (member_count, member_seed, rotation) in (65usize..201, 0u64..u64::MAX, 0usize..200),
+        cap_offset in 0u32..6,
+        jobs in 1usize..4,
+    ) {
+        let n = graph.node_count();
+        let dense = graph.hop_matrix();
+        let diameter = dense.diameter();
+        let cap = (diameter + cap_offset).saturating_sub(3).max(1);
+        let saturate = |d: u32| if d == wsan::net::UNREACHABLE { cap } else { d.min(cap) };
+
+        // A seeded sample, ascending and then rotated, so that most 64-lane
+        // blocks lie in one component and columns are not in id order.
+        let mut rng = StdRng::seed_from_u64(member_seed);
+        let mut pool: Vec<usize> = (0..n).collect();
+        for i in 0..member_count {
+            let j = rng.gen_range(i..n);
+            pool.swap(i, j);
+        }
+        let mut members: Vec<NodeId> =
+            pool[..member_count].iter().map(|&v| NodeId::new(v)).collect();
+        members.sort_unstable();
+        members.rotate_left(rotation % member_count);
+
+        let restricted = graph.capped_hops_restricted(&members, cap, jobs);
+        prop_assert_eq!(restricted.node_count(), member_count);
+        let (mut member_max, mut member_beyond) = (0, false);
+        for (i, &a) in members.iter().enumerate() {
+            for (j, &b) in members.iter().enumerate() {
+                let d = dense.hops(a, b);
+                let cell = restricted.hops(NodeId::new(i), NodeId::new(j));
+                prop_assert_eq!(cell, saturate(d), "member pair {:?}->{:?}, cap {}", a, b, cap);
+                if !restricted.saturated() {
+                    let exact = if d == wsan::net::UNREACHABLE { cap } else { d };
+                    prop_assert_eq!(cell, exact, "unsaturated table truncated {:?}->{:?}", a, b);
+                }
+                if d != wsan::net::UNREACHABLE {
+                    member_max = member_max.max(d.min(cap));
+                    member_beyond |= d >= cap;
+                }
+            }
+        }
+        prop_assert_eq!(restricted.diameter(), member_max);
+        prop_assert!(
+            restricted.saturated() || !member_beyond,
+            "member pair at the cap {} unreported", cap
+        );
+
+        let capped = graph.capped_hops(cap, jobs);
+        let exact = graph.exact_hops(jobs);
+        let (mut max_finite, mut beyond) = (0, false);
+        for a in (0..n).map(NodeId::new) {
+            for b in (0..n).map(NodeId::new) {
+                let d = dense.hops(a, b);
+                prop_assert_eq!(
+                    capped.hops(a, b), saturate(d), "pair {:?}->{:?}, cap {}", a, b, cap
+                );
+                let want = if d == wsan::net::UNREACHABLE { exact.cap() } else { d };
+                prop_assert_eq!(exact.hops(a, b), want, "exact pair {:?}->{:?}", a, b);
+                if d != wsan::net::UNREACHABLE {
+                    max_finite = max_finite.max(d.min(cap));
+                    beyond |= d >= cap;
+                }
+            }
+        }
+        prop_assert_eq!(capped.diameter(), max_finite);
+        prop_assert_eq!(capped.saturated(), beyond);
+        prop_assert!(!exact.saturated());
+        prop_assert_eq!(exact.diameter(), diameter);
+        prop_assert_eq!(graph.diameter(), diameter);
     }
 
     /// The counting-sort CSR build gives every node exactly the sorted,
