@@ -20,6 +20,9 @@ cargo test -q --workspace
 
 echo "==> release-mode tests of the core and simulator (floating point as the benchmark builds it)"
 cargo test --release --offline -q -p wsan-core -p wsan-sim
+# the slot-conflict test needs release builds (`Schedule::place` asserts in debug)
+release_core_list="$(cargo test --release --offline -q -p wsan-core --lib -- --list)"
+echo "$release_core_list" | grep -q "node_conflict_is_reported_on_both_paths"
 
 echo "==> perf_ledger self-tests (the repository benchmark, tiny scale)"
 cargo test --offline -q --manifest-path perf_ledger/Cargo.toml
@@ -34,6 +37,11 @@ echo "$eq_prop" | grep -q "equivalence_parallel_capped_build_is_byte_identical"
 echo "$eq_prop" | grep -q "equivalence_restricted_extraction_matches_dense"
 echo "$eq_prop" | grep -q "equivalence_hop_kernel_on_dense_multi_block_graphs"
 echo "$eq_prop" | grep -q "equivalence_csr_build_matches_sorted_reference"
+
+echo "==> validator equivalence suite runs in the default pass"
+validate_list="$(cargo test -q -p wsan-core --lib -- --list)"
+echo "$validate_list" | grep -q "linear_check_matches_the_oracle"
+echo "$validate_list" | grep -q "stitched_validator_matches_the_exact_hop_oracle"
 
 echo "==> shard routing-graph equivalence suite runs in the default pass"
 shard_list="$(cargo test -q --test scale_sharding -- --list)"

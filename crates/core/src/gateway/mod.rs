@@ -51,7 +51,7 @@ use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 use wsan_flow::{Flow, FlowId, FlowSet, Period};
-use wsan_net::{DirectedLink, NodeId, Route};
+use wsan_net::{DirectedLink, Route};
 
 /// Tunables of a [`GatewayState`].
 #[derive(Debug, Clone, PartialEq)]
@@ -69,8 +69,6 @@ pub struct GatewayConfig {
     pub max_hyperperiod: u32,
     /// Bound on scheduler invocations per operation while shedding.
     pub max_reschedules: u32,
-    /// Access points recorded on the flow set (informational).
-    pub access_points: Vec<NodeId>,
 }
 
 impl Default for GatewayConfig {
@@ -81,7 +79,6 @@ impl Default for GatewayConfig {
             max_flows: 4096,
             max_hyperperiod: 1 << 20,
             max_reschedules: 64,
-            access_points: Vec::new(),
         }
     }
 }
@@ -330,7 +327,7 @@ impl GatewayState {
     /// schedule for this set from scratch yields exactly
     /// [`GatewayState::schedule`] (the churn proptests pin this).
     pub fn flow_set(&self) -> FlowSet {
-        flow_set_of(&self.admitted, &self.config.access_points)
+        flow_set_of(&self.admitted)
     }
 
     /// Admits a flow. See the module docs for the delta path and the
@@ -539,7 +536,7 @@ impl GatewayState {
         let mut evicted: Vec<String> = Vec::new();
         let mut reschedules = 0u32;
         loop {
-            let set = flow_set_of(&candidate, &self.config.access_points);
+            let set = flow_set_of(&candidate);
             let horizon = set.hyperperiod();
             if horizon > self.config.max_hyperperiod {
                 return Err(GatewayError::CapacityExceeded {
@@ -642,7 +639,7 @@ impl GatewayState {
     }
 }
 
-fn flow_set_of(admitted: &[Admitted], access_points: &[NodeId]) -> FlowSet {
+fn flow_set_of(admitted: &[Admitted]) -> FlowSet {
     let flows: Vec<Flow> = admitted
         .iter()
         .enumerate()
@@ -651,7 +648,7 @@ fn flow_set_of(admitted: &[Admitted], access_points: &[NodeId]) -> FlowSet {
                 .expect("specs are validated at admission")
         })
         .collect();
-    FlowSet::new(flows, access_points.to_vec())
+    FlowSet::new(flows, Vec::new())
 }
 
 #[cfg(test)]
@@ -659,6 +656,7 @@ mod tests {
     use super::*;
     use crate::test_util::path_graph;
     use crate::{NoReuse, ReuseConservatively};
+    use wsan_net::NodeId;
 
     fn model(nodes: usize, channels: usize) -> NetworkModel {
         NetworkModel::from_reuse_graph(&path_graph(nodes), channels)
@@ -888,5 +886,77 @@ mod tests {
             gw.add_flow("a", spec(&[0, 1], 100, 50)),
             Err(GatewayError::CapacityExceeded { .. })
         ));
+    }
+
+    /// RC with a bug: once the set holds two flows, it loses the last
+    /// transmission it placed. Its default `schedule_onto` recomputes, so
+    /// every delta operation runs through it.
+    struct DropsOneTransmission;
+
+    impl Scheduler for DropsOneTransmission {
+        fn name(&self) -> &'static str {
+            "RC-drops-one"
+        }
+
+        fn schedule_with(
+            &self,
+            flows: &FlowSet,
+            model: &NetworkModel,
+            config: &SchedulerConfig,
+        ) -> Result<Schedule, ScheduleError> {
+            let full = ReuseConservatively::new(2).schedule_with(flows, model, config)?;
+            let keep = full.entry_count() - usize::from(flows.len() >= 2);
+            let mut dropped =
+                Schedule::new(full.horizon(), full.channel_count(), full.node_count());
+            for e in &full.entries()[..keep] {
+                dropped.place(e.slot, e.offset, e.tx);
+            }
+            Ok(dropped)
+        }
+    }
+
+    /// The validation guard rejects a corrupt delta result under
+    /// `paranoid` in every build, and under the plain config in debug
+    /// builds, leaving the flow set and schedule as they were. On a clean
+    /// engine the paranoid gateway serves exactly the plain one's schedule.
+    #[test]
+    fn validation_guard_rejects_a_dropped_transmission() {
+        let paranoid = GatewayConfig { paranoid: true, ..GatewayConfig::default() };
+        for (config, guarded) in
+            [(paranoid.clone(), true), (GatewayConfig::default(), cfg!(debug_assertions))]
+        {
+            let mut gw = GatewayState::new(model(8, 2), Box::new(DropsOneTransmission), config);
+            gw.add_flow("a", spec(&[0, 1, 2], 100, 80)).unwrap();
+            let (flows, schedule) = (gw.flow_set(), gw.schedule().clone());
+            // a two-hop newcomer: without its last retry, its job holds
+            // three transmissions for two links
+            let result = gw.add_flow("b", spec(&[4, 5, 6], 100, 90));
+            if guarded {
+                assert!(
+                    matches!(
+                        result,
+                        Err(GatewayError::Schedule(ScheduleError::Inconsistent { .. }))
+                    ),
+                    "{result:?}"
+                );
+                assert_eq!(gw.flow_set(), flows);
+                assert_eq!(gw.schedule(), &schedule);
+            } else {
+                // release builds validate only under `paranoid`
+                assert!(result.is_ok(), "{result:?}");
+            }
+        }
+
+        let mut plain = rc_gateway(6, 2);
+        let mut checked =
+            GatewayState::new(model(6, 2), Box::new(ReuseConservatively::new(2)), paranoid);
+        for (i, route) in [&[0, 1, 2][..], &[3, 4, 5], &[1, 2, 3, 4]].into_iter().enumerate() {
+            let name = format!("f{i}");
+            assert_eq!(
+                plain.add_flow(&name, spec(route, 32, 24)).unwrap(),
+                checked.add_flow(&name, spec(route, 32, 24)).unwrap()
+            );
+        }
+        assert_eq!(plain.schedule(), checked.schedule());
     }
 }

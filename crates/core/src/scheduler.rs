@@ -1,6 +1,7 @@
 //! The `Scheduler` trait and the shared fixed-priority scheduling engine.
 
 use crate::{NetworkModel, Schedule, ScheduleError, ScheduledTx};
+use std::time::Instant;
 use wsan_flow::FlowSet;
 use wsan_net::DirectedLink;
 
@@ -130,8 +131,8 @@ struct EngineMetrics {
     runs: wsan_obs::Counter,
     placements: wsan_obs::Counter,
     misses: wsan_obs::Counter,
-    timer: wsan_obs::Timer,
-    place_timer: wsan_obs::Timer,
+    schedule_ns: wsan_obs::HdrHistogram,
+    place_ns: wsan_obs::HdrHistogram,
 }
 
 impl EngineMetrics {
@@ -141,8 +142,8 @@ impl EngineMetrics {
             runs: reg.counter("core.schedule.runs"),
             placements: reg.counter("core.schedule.placements"),
             misses: reg.counter("core.schedule.deadline_misses"),
-            timer: reg.timer("core.schedule"),
-            place_timer: reg.timer("core.schedule.place"),
+            schedule_ns: reg.quantile("core.schedule_ns"),
+            place_ns: reg.quantile("core.schedule.place_ns"),
         }
     }
 }
@@ -203,9 +204,9 @@ pub(crate) fn run_fixed_priority_onto<P: PlacePolicy>(
         });
     }
     let metrics = wsan_obs::metrics_enabled().then(EngineMetrics::new);
-    let _timed = metrics.as_ref().map(|m| {
+    let started = metrics.as_ref().map(|m| {
         m.runs.inc();
-        m.timer.start()
+        Instant::now()
     });
     let _span = wsan_obs::span(
         wsan_obs::Level::Debug,
@@ -218,71 +219,77 @@ pub(crate) fn run_fixed_priority_onto<P: PlacePolicy>(
     );
     let mut schedule = base;
     let attempts: u8 = if config.retries { 2 } else { 1 };
-    for flow in flows.iter().skip(skip) {
-        policy.begin_flow();
-        let links: Vec<DirectedLink> = flow.links();
-        // The job's transmission sequence: every link primary + retries.
-        let seq: Vec<(DirectedLink, u8)> =
-            links.iter().flat_map(|l| (0..attempts).map(move |a| (*l, a))).collect();
-        let remaining_links: Vec<DirectedLink> = seq.iter().map(|(l, _)| *l).collect();
-        for job in flow.jobs(horizon) {
-            let d_i = job.deadline_slot() - 1; // last usable slot
-            let mut prev_slot: Option<u32> = None;
-            for (i, (link, attempt)) in seq.iter().enumerate() {
-                let earliest = prev_slot.map_or(job.release_slot(), |p| p + 1);
-                policy.begin_transmission();
-                let req = PlaceRequest {
-                    link: *link,
-                    earliest,
-                    deadline_slot: d_i,
-                    remaining: &remaining_links[i + 1..],
-                };
-                let placed = {
-                    let _place_timed = metrics.as_ref().map(|m| m.place_timer.start());
-                    policy.place(&schedule, model, &req)
-                };
-                let Some((slot, offset)) = placed else {
-                    if let Some(m) = &metrics {
-                        m.misses.inc();
-                    }
-                    if wsan_obs::enabled(wsan_obs::Level::Debug) {
-                        wsan_obs::event(
-                            wsan_obs::Level::Debug,
-                            "wsan_core::scheduler",
-                            "deadline miss: flow set unschedulable",
-                            &[
-                                wsan_obs::kv("flow", flow.id().index()),
-                                wsan_obs::kv("job", job.index()),
-                            ],
-                        );
-                    }
-                    policy.finish();
-                    return Err(ScheduleError::Unschedulable {
-                        flow: flow.id(),
-                        job_index: job.index(),
-                    });
-                };
-                if let Some(m) = &metrics {
-                    m.placements.inc();
-                }
-                debug_assert!(slot >= earliest && slot <= d_i);
-                schedule.place(
-                    slot,
-                    offset,
-                    ScheduledTx {
-                        flow: flow.id(),
-                        job_index: job.index(),
+    let result = 'run: {
+        for flow in flows.iter().skip(skip) {
+            policy.begin_flow();
+            let links: Vec<DirectedLink> = flow.links();
+            // The job's transmission sequence: every link primary + retries.
+            let seq: Vec<(DirectedLink, u8)> =
+                links.iter().flat_map(|l| (0..attempts).map(move |a| (*l, a))).collect();
+            let remaining_links: Vec<DirectedLink> = seq.iter().map(|(l, _)| *l).collect();
+            for job in flow.jobs(horizon) {
+                let d_i = job.deadline_slot() - 1; // last usable slot
+                let mut prev_slot: Option<u32> = None;
+                for (i, (link, attempt)) in seq.iter().enumerate() {
+                    let earliest = prev_slot.map_or(job.release_slot(), |p| p + 1);
+                    policy.begin_transmission();
+                    let req = PlaceRequest {
                         link: *link,
-                        seq: i as u16,
-                        attempt: *attempt,
-                    },
-                );
-                prev_slot = Some(slot);
+                        earliest,
+                        deadline_slot: d_i,
+                        remaining: &remaining_links[i + 1..],
+                    };
+                    let place_started = metrics.is_some().then(Instant::now);
+                    let placed = policy.place(&schedule, model, &req);
+                    if let (Some(m), Some(started)) = (&metrics, place_started) {
+                        m.place_ns.record_nanos(started.elapsed());
+                    }
+                    let Some((slot, offset)) = placed else {
+                        if let Some(m) = &metrics {
+                            m.misses.inc();
+                        }
+                        if wsan_obs::enabled(wsan_obs::Level::Debug) {
+                            wsan_obs::event(
+                                wsan_obs::Level::Debug,
+                                "wsan_core::scheduler",
+                                "deadline miss: flow set unschedulable",
+                                &[
+                                    wsan_obs::kv("flow", flow.id().index()),
+                                    wsan_obs::kv("job", job.index()),
+                                ],
+                            );
+                        }
+                        break 'run Err(ScheduleError::Unschedulable {
+                            flow: flow.id(),
+                            job_index: job.index(),
+                        });
+                    };
+                    if let Some(m) = &metrics {
+                        m.placements.inc();
+                    }
+                    debug_assert!(slot >= earliest && slot <= d_i);
+                    schedule.place(
+                        slot,
+                        offset,
+                        ScheduledTx {
+                            flow: flow.id(),
+                            job_index: job.index(),
+                            link: *link,
+                            seq: i as u16,
+                            attempt: *attempt,
+                        },
+                    );
+                    prev_slot = Some(slot);
+                }
             }
         }
-    }
+        Ok(schedule)
+    };
     policy.finish();
-    Ok(schedule)
+    if let (Some(m), Some(started)) = (&metrics, started) {
+        m.schedule_ns.record_nanos(started.elapsed());
+    }
+    result
 }
 
 #[cfg(test)]

@@ -32,19 +32,20 @@
 //! 4. **Stitch** ([`stitch`]): per-shard schedules are unrolled to the
 //!    common hyperperiod and placed into one whole-network
 //!    [`Schedule`], offsets translated by each shard's block base.
-//! 5. **Validate** ([`validate_stitched`]): an independent whole-network
-//!    pass re-checks every shared cell against the §V-A test on a
-//!    whole-plant reuse graph it builds from the plant itself (not the
-//!    plan's), and every slot for node-level TDMA conflicts — proving the
+//! 5. **Validate** ([`validate_stitched`]): the interference passes of
+//!    [`validate`] re-check every slot for node-level TDMA conflicts and
+//!    every shared cell against the §V-A test, on a whole-plant reuse
+//!    graph built from the plant itself (not the plan's) — proving the
 //!    stitched schedule interference-free without trusting steps 1–4.
 
+use crate::validate::{self, Violation};
 use crate::{NetworkModel, Schedule, ScheduleError, ScheduledTx, Scheduler, SchedulerConfig};
 use wsan_flow::{
     FlowError, FlowId, FlowSet, FlowSetConfig, FlowSetGenerator, PeriodRange, TrafficPattern,
 };
 use wsan_net::parallel::parallel_map_with;
 use wsan_net::plants::Plant;
-use wsan_net::{ChannelSet, CommGraph, NodeId, Prr, ReuseGraph, UNREACHABLE};
+use wsan_net::{ChannelSet, CommGraph, NodeId, Prr, ReuseGraph};
 
 /// Knobs of a sharded scheduling run.
 #[derive(Debug, Clone)]
@@ -568,106 +569,43 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
     a.max(1)
 }
 
-/// One whole-network interference violation found by the stitched
-/// validator.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum StitchViolation {
-    /// Two transmissions in the same slot share a node (TDMA conflict).
-    NodeConflict {
-        /// The slot.
-        slot: u32,
-    },
-    /// A shared cell violates the §V-A hop-distance test (or exists at
-    /// all under NR).
-    ChannelConflict {
-        /// The slot.
-        slot: u32,
-        /// The channel offset.
-        offset: usize,
-        /// The smallest cross-pair hop distance observed in the cell.
-        observed: u32,
-    },
-}
-
 /// Whole-network validator: proves a stitched schedule interference-free
 /// against the plant itself, without trusting the partition, coloring, or
 /// stitching that produced it.
 ///
-/// Checks every slot for node-level TDMA conflicts and every shared
-/// `(slot, offset)` cell against the §V-A conservative test on the
-/// whole-plant reuse graph: all concurrent pairs `a, b` must satisfy
-/// `min(hops(a.tx, b.rx), hops(b.tx, a.rx)) ≥ reuse_floor`. With
-/// `reuse_floor = None` (NR) any shared cell is a violation.
+/// Runs the interference passes of [`validate`] — node-level TDMA
+/// conflicts per slot, then the §V-A conservative test on every shared
+/// `(slot, offset)` cell: all concurrent pairs `a, b` must satisfy
+/// `min(hops(a.tx, b.rx), hops(b.tx, a.rx)) ≥ reuse_floor` on the
+/// whole-plant reuse graph. With `reuse_floor = None` (NR) any shared cell
+/// is a violation.
 ///
 /// # Errors
 ///
-/// The list of violations, if any.
+/// The list of violations, if any: [`Violation::Conflict`]s by slot, then
+/// [`Violation::ChannelConstraint`]s by cell.
 pub fn validate_stitched(
     plant: &Plant,
     channels: &ChannelSet,
     reuse_floor: Option<u32>,
     schedule: &Schedule,
-) -> Result<(), Vec<StitchViolation>> {
-    let mut violations = Vec::new();
-
-    // TDMA: a node participates in at most one transmission per slot.
-    let mut by_slot: std::collections::BTreeMap<u32, Vec<wsan_net::DirectedLink>> =
-        std::collections::BTreeMap::new();
-    for (slot, _, cell) in schedule.occupied_cells() {
-        by_slot.entry(slot).or_default().extend(cell.iter().map(|tx| tx.link));
-    }
-    for (&slot, links) in &by_slot {
-        'outer: for (i, a) in links.iter().enumerate() {
-            for b in &links[i + 1..] {
-                if a.conflicts_with(*b) {
-                    violations.push(StitchViolation::NodeConflict { slot });
-                    break 'outer;
-                }
-            }
-        }
-    }
-
-    // §V-A: shared cells must keep every cross pair at or beyond the
-    // reuse floor on the whole-plant reuse graph. Distances are computed
-    // by BFS from each distinct transmitter that appears in a shared
-    // cell, *truncated at the reuse floor* — the test only asks
-    // `dist < rho`, and a rho-capped wave (distances ≥ rho saturate to
-    // rho) answers it exactly while visiting only each transmitter's
+) -> Result<(), Vec<Violation>> {
+    // Distances come from a BFS per distinct transmitter the §V-A pass asks
+    // about, *truncated at the reuse floor*: the test only asks
+    // `dist < rho`, and a rho-capped wave (distances ≥ rho saturate to rho)
+    // answers it exactly while visiting only each transmitter's
     // rho-neighborhood. No quadratic whole-plant hop matrix is needed. The
     // graph is built from the plant here, never taken from the plan: the
     // validator trusts nothing the pipeline computed.
     let reuse = plant.reuse_graph(channels);
-    let mut dist_from: std::collections::BTreeMap<NodeId, Vec<u32>> =
-        std::collections::BTreeMap::new();
-    for (slot, offset, cell) in schedule.occupied_cells() {
-        if cell.len() < 2 {
-            continue;
-        }
-        let Some(rho) = reuse_floor else {
-            violations.push(StitchViolation::ChannelConflict { slot, offset, observed: 0 });
-            continue;
-        };
-        let mut worst = UNREACHABLE;
-        for (i, a) in cell.iter().enumerate() {
-            for b in &cell[i + 1..] {
-                for (src, dst) in [(a.link.tx, b.link.rx), (b.link.tx, a.link.rx)] {
-                    let dist =
-                        dist_from.entry(src).or_insert_with(|| reuse.multi_bfs_capped(&[src], rho));
-                    worst = worst.min(dist[dst.index()]);
-                }
-            }
-        }
-        if worst < rho {
-            violations.push(StitchViolation::ChannelConflict { slot, offset, observed: worst });
-        }
-    }
-
-    if violations.is_empty() {
-        Ok(())
-    } else {
-        Err(violations)
-    }
+    let rho = reuse_floor.unwrap_or(0);
+    let mut from: Vec<Option<Vec<u32>>> = vec![None; reuse.node_count()];
+    let hops = |src: NodeId, dst: NodeId| {
+        from[src.index()].get_or_insert_with(|| reuse.multi_bfs_capped(&[src], rho))[dst.index()]
+    };
+    let mut violations = Vec::new();
+    validate::check_interference(schedule, reuse_floor, hops, &mut violations);
+    validate::verdict(violations)
 }
 
 #[cfg(test)]
@@ -803,7 +741,34 @@ mod tests {
         let violations = validate_stitched(&plant, &channels, Some(2), &forged).unwrap_err();
         assert!(violations
             .iter()
-            .any(|v| matches!(v, StitchViolation::ChannelConflict { observed: 1, .. })));
+            .any(|v| matches!(v, Violation::ChannelConstraint { observed: 1, .. })));
+    }
+
+    /// Both paths report a same-slot node-sharing pair as
+    /// [`Violation::Conflict`]. Release builds only: [`Schedule::place`]
+    /// asserts against the pair in debug builds (`validate`'s unit tests
+    /// drive the shared pass directly there).
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn node_conflict_is_reported_on_both_paths() {
+        let plant = test_plant();
+        let channels = ChannelId::all();
+        let model = NetworkModel::from_reuse_graph(&plant.reuse_graph(&channels), channels.len());
+        // node 1 receives on offset 0 and sends on offset 1 of slot 2: no
+        // cell is shared, so only the conflict pass can object
+        let mut forged = Schedule::new(4, channels.len(), plant.node_count());
+        for (flow, (a, b)) in [(0, 1), (1, 2)].into_iter().enumerate() {
+            let link = wsan_net::DirectedLink::new(NodeId::new(a), NodeId::new(b));
+            forged.place(
+                2,
+                flow,
+                ScheduledTx { flow: FlowId::new(flow), job_index: 0, link, seq: 0, attempt: 0 },
+            );
+        }
+        let expected = Err(vec![Violation::Conflict { slot: 2 }]);
+        let no_flows = FlowSet::new(Vec::new(), Vec::new());
+        assert_eq!(validate::check(&forged, &no_flows, &model, Some(2)), expected);
+        assert_eq!(validate_stitched(&plant, &channels, Some(2), &forged), expected);
     }
 
     #[test]

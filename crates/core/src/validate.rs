@@ -1,8 +1,9 @@
-//! Independent post-hoc schedule validation.
+//! Independent post-hoc schedule validation: the one code that judges a
+//! schedule.
 //!
 //! The schedulers maintain their constraints incrementally; this module
-//! re-derives every property from scratch so tests (and property tests) can
-//! cross-check them:
+//! re-derives every property from scratch, trusting nothing the scheduler
+//! kept:
 //!
 //! 1. **Completeness** — every job of every flow has all its transmissions,
 //!    in route order, primaries before their retries.
@@ -13,10 +14,18 @@
 //! 4. **Channel constraints** — a cell with several transmissions keeps
 //!    every sender at least `ρ_t` reuse-graph hops from every other
 //!    receiver (`ρ_t = None` asserts no sharing at all, for NR).
+//!
+//! [`check`] judges all four against a [`NetworkModel`]'s hop table.
+//! [`crate::shard::validate_stitched`] judges 3 and 4 on a stitched
+//! whole-plant schedule, with distances it derives from the plant itself.
+//! Both run the same interference passes, which take the distance source
+//! as an argument. Every pass is linear in the grid and the entries, plus
+//! the occupant pairs of each shared cell.
 
-use crate::{NetworkModel, Schedule};
+use crate::{NetworkModel, Schedule, ScheduleEntry, ScheduledTx};
 use std::fmt;
-use wsan_flow::FlowSet;
+use wsan_flow::{FlowSet, Job};
+use wsan_net::NodeId;
 
 /// A violated schedule property.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,12 +85,15 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Checks every schedule property; `rho_t = None` additionally requires that
-/// no channel is ever shared (the NR contract).
+/// Checks every schedule property against `model`'s hop distances;
+/// `rho_t = None` additionally requires that no channel is ever shared (the
+/// NR contract).
 ///
 /// # Errors
 ///
-/// Returns all violations found (empty `Ok` means the schedule is sound).
+/// Returns all violations found (empty `Ok` means the schedule is sound):
+/// job violations by flow and job, then slot conflicts by slot, then
+/// channel violations by cell.
 pub fn check(
     schedule: &Schedule,
     flows: &FlowSet,
@@ -90,8 +102,12 @@ pub fn check(
 ) -> Result<(), Vec<Violation>> {
     let mut violations = Vec::new();
     check_jobs(schedule, flows, &mut violations);
-    check_conflicts(schedule, &mut violations);
-    check_channels(schedule, model, rho_t, &mut violations);
+    check_interference(schedule, rho_t, |a, b| model.hops().hops(a, b), &mut violations);
+    verdict(violations)
+}
+
+/// `Ok` for an empty violation list, the list otherwise.
+pub(crate) fn verdict(violations: Vec<Violation>) -> Result<(), Vec<Violation>> {
     if violations.is_empty() {
         Ok(())
     } else {
@@ -99,135 +115,162 @@ pub fn check(
     }
 }
 
+/// Properties 3 and 4: the slot-conflict pass, then the channel pass with
+/// `hops(a, b)` as the reuse-distance source. The source only has to be
+/// exact below `rho_t`: a cell is reported when its smallest cross-pair
+/// distance is below the floor, and then that distance is the one
+/// reported, so a source that saturates at `rho_t` reports exactly what
+/// exact hops would.
+pub(crate) fn check_interference(
+    schedule: &Schedule,
+    rho_t: Option<u32>,
+    hops: impl FnMut(NodeId, NodeId) -> u32,
+    out: &mut Vec<Violation>,
+) {
+    check_conflicts(schedule.occupied_cells(), schedule.node_count(), out);
+    check_channels(schedule.occupied_cells(), rho_t, hops, out);
+}
+
+/// Properties 1 and 2. One counting sort buckets the entries by
+/// `(flow, job)`, keeping placement order within a bucket; `FlowSet` keeps
+/// `FlowId(i)` at position `i`, so job `k` of flow `i` is bucket
+/// `first[i] + k`. Entries naming no job of `flows` are ignored, as no job
+/// asks for them. Each bucket is then sorted by `seq` and checked.
 fn check_jobs(schedule: &Schedule, flows: &FlowSet, out: &mut Vec<Violation>) {
-    let horizon = schedule.horizon();
-    // group entries by (flow, job)
-    for flow in flows.iter() {
-        let links: Vec<_> = flow.links();
-        for job in flow.jobs(horizon) {
-            let mut entries: Vec<_> = schedule
-                .entries()
-                .iter()
-                .filter(|e| e.tx.flow == flow.id() && e.tx.job_index == job.index())
-                .collect();
-            entries.sort_by_key(|e| e.tx.seq);
-            // completeness: seq must be 0..n with each link appearing in
-            // route order; attempts per link inferred from count
-            let found = entries.len();
-            if found % links.len() != 0 {
+    let entries = schedule.entries();
+    let jobs: Vec<Vec<Job>> = flows.iter().map(|flow| flow.jobs(schedule.horizon())).collect();
+    let mut first = vec![0usize; jobs.len() + 1];
+    for (f, flow_jobs) in jobs.iter().enumerate() {
+        first[f + 1] = first[f] + flow_jobs.len();
+    }
+    let bucket_of = |e: &ScheduleEntry| {
+        let (flow, job) = (e.tx.flow.index(), e.tx.job_index as usize);
+        (flow < jobs.len() && job < jobs[flow].len()).then(|| first[flow] + job)
+    };
+    // `start[b]..start[b + 1]` is bucket `b`'s range of `order`.
+    let mut start = vec![0usize; first[jobs.len()] + 1];
+    for b in entries.iter().filter_map(bucket_of) {
+        start[b + 1] += 1;
+    }
+    for b in 1..start.len() {
+        start[b] += start[b - 1];
+    }
+    let mut next = start.clone();
+    let mut order = vec![0usize; start[start.len() - 1]];
+    for (i, e) in entries.iter().enumerate() {
+        if let Some(b) = bucket_of(e) {
+            order[next[b]] = i;
+            next[b] += 1;
+        }
+    }
+
+    for (f, (flow, flow_jobs)) in flows.iter().zip(&jobs).enumerate() {
+        let links = flow.links();
+        for (k, job) in flow_jobs.iter().enumerate() {
+            let mine = &mut order[start[first[f] + k]..start[first[f] + k + 1]];
+            mine.sort_by_key(|&i| entries[i].tx.seq);
+            // completeness: a whole number of attempts per route link
+            let (flow, job_index, expected) = (flow.id().index(), job.index(), links.len());
+            let found = mine.len();
+            if found == 0 || !found.is_multiple_of(expected) {
                 out.push(Violation::WrongTransmissionCount {
-                    flow: flow.id().index(),
-                    job: job.index(),
-                    expected: links.len(),
+                    flow,
+                    job: job_index,
+                    expected,
                     found,
                 });
                 continue;
             }
-            let attempts = found / links.len();
-            if attempts == 0 {
-                out.push(Violation::WrongTransmissionCount {
-                    flow: flow.id().index(),
-                    job: job.index(),
-                    expected: links.len(),
-                    found: 0,
-                });
-                continue;
-            }
+            let attempts = found / expected;
+            let bad = |why| Violation::BadSequencing { flow, job: job_index, why };
             let mut last_slot: Option<u32> = None;
-            for (i, entry) in entries.iter().enumerate() {
-                let expected_link = links[i / attempts];
-                if entry.tx.link != expected_link {
-                    out.push(Violation::BadSequencing {
-                        flow: flow.id().index(),
-                        job: job.index(),
-                        why: format!(
-                            "transmission {i} uses {} but the route expects {expected_link}",
-                            entry.tx.link
-                        ),
-                    });
+            for (i, entry) in mine.iter().map(|&i| &entries[i]).enumerate() {
+                let (link, expected_link) = (entry.tx.link, links[i / attempts]);
+                if link != expected_link {
+                    out.push(bad(format!(
+                        "transmission {i} uses {link} but the route expects {expected_link}"
+                    )));
                 }
-                if entry.slot < job.release_slot() || entry.slot >= job.deadline_slot() {
-                    out.push(Violation::BadSequencing {
-                        flow: flow.id().index(),
-                        job: job.index(),
-                        why: format!(
-                            "slot {} outside window [{}, {})",
-                            entry.slot,
-                            job.release_slot(),
-                            job.deadline_slot()
-                        ),
-                    });
+                let (slot, release, deadline) =
+                    (entry.slot, job.release_slot(), job.deadline_slot());
+                if slot < release || slot >= deadline {
+                    out.push(bad(format!("slot {slot} outside window [{release}, {deadline})")));
                 }
-                if let Some(prev) = last_slot {
-                    if entry.slot <= prev {
-                        out.push(Violation::BadSequencing {
-                            flow: flow.id().index(),
-                            job: job.index(),
-                            why: format!("slot {} does not follow slot {prev}", entry.slot),
-                        });
-                    }
+                if let Some(prev) = last_slot.filter(|&prev| slot <= prev) {
+                    out.push(bad(format!("slot {slot} does not follow slot {prev}")));
                 }
-                last_slot = Some(entry.slot);
+                last_slot = Some(slot);
             }
         }
     }
 }
 
-fn check_conflicts(schedule: &Schedule, out: &mut Vec<Violation>) {
-    for slot in 0..schedule.horizon() {
-        let mut nodes = std::collections::HashSet::new();
-        let mut conflicted = false;
-        for offset in 0..schedule.channel_count() {
-            for tx in schedule.cell(slot, offset) {
-                for node in [tx.link.tx, tx.link.rx] {
-                    if !nodes.insert(node) {
-                        conflicted = true;
-                    }
-                }
-            }
+/// Property 3 over `cells`, given in `(slot, offset)` order with every node
+/// below `node_count`: one [`Violation::Conflict`] per slot in which a node
+/// is a sender or receiver twice, found with a per-node stamp of the last
+/// slot that used the node.
+fn check_conflicts<'a>(
+    cells: impl IntoIterator<Item = (u32, usize, &'a [ScheduledTx])>,
+    node_count: usize,
+    out: &mut Vec<Violation>,
+) {
+    let mut last_used = vec![u32::MAX; node_count];
+    let mut flagged = None;
+    for (slot, _, cell) in cells {
+        if flagged == Some(slot) {
+            continue;
         }
-        if conflicted {
+        let clash = cell
+            .iter()
+            .flat_map(|tx| [tx.link.tx, tx.link.rx])
+            .any(|node| std::mem::replace(&mut last_used[node.index()], slot) == slot);
+        if clash {
+            flagged = Some(slot);
             out.push(Violation::Conflict { slot });
         }
     }
 }
 
-fn check_channels(
-    schedule: &Schedule,
-    model: &NetworkModel,
+/// Property 4 over `cells`: every cell of two or more transmissions keeps
+/// each sender at least `rho_t` hops (per `hops`) from every other
+/// receiver, reporting the cell's smallest such distance when it does not;
+/// under `rho_t = None` any shared cell is a violation.
+fn check_channels<'a>(
+    cells: impl IntoIterator<Item = (u32, usize, &'a [ScheduledTx])>,
     rho_t: Option<u32>,
+    mut hops: impl FnMut(NodeId, NodeId) -> u32,
     out: &mut Vec<Violation>,
 ) {
-    for (slot, offset, cell) in schedule.occupied_cells() {
+    for (slot, offset, cell) in cells {
         if cell.len() < 2 {
             continue;
         }
-        match rho_t {
-            None => out.push(Violation::ChannelConstraint { slot, offset, observed: 0 }),
-            Some(floor) => {
-                let mut min_hops = u32::MAX;
-                for (i, a) in cell.iter().enumerate() {
-                    for b in &cell[i + 1..] {
-                        min_hops = min_hops
-                            .min(model.hops().hops(a.link.tx, b.link.rx))
-                            .min(model.hops().hops(b.link.tx, a.link.rx));
-                    }
-                }
-                if min_hops < floor {
-                    out.push(Violation::ChannelConstraint { slot, offset, observed: min_hops });
-                }
+        let Some(floor) = rho_t else {
+            out.push(Violation::ChannelConstraint { slot, offset, observed: 0 });
+            continue;
+        };
+        let mut min_hops = u32::MAX;
+        for (i, a) in cell.iter().enumerate() {
+            for b in &cell[i + 1..] {
+                min_hops = min_hops.min(hops(a.link.tx, b.link.rx)).min(hops(b.link.tx, a.link.rx));
             }
+        }
+        if min_hops < floor {
+            out.push(Violation::ChannelConstraint { slot, offset, observed: min_hops });
         }
     }
 }
 
 #[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::test_util::{model_for, parallel_set};
-    use crate::{ScheduledTx, Scheduler};
+    use crate::Scheduler;
     use wsan_flow::FlowId;
-    use wsan_net::{DirectedLink, NodeId};
+    use wsan_net::DirectedLink;
 
     #[test]
     fn valid_schedules_pass() {
@@ -254,39 +297,26 @@ mod tests {
 
     #[test]
     fn hand_built_conflict_is_reported() {
-        let (flows, reuse) = parallel_set(2, 4, 60, 30);
-        let model = model_for(&reuse, 2);
-        let mut s = crate::NoReuse::new().schedule(&flows, &model).unwrap();
-        // inject a conflicting foreign transmission into an occupied slot
-        let entry = s.entries()[0];
-        let foreign = ScheduledTx {
-            flow: FlowId::new(99),
+        // `Schedule::place` asserts against conflicts in debug builds, so
+        // the slot-conflict pass is driven directly with hand-built cells:
+        // node 1 receives in (3, 0) and sends in (3, 1), while slot 2 and
+        // slot 5's two cells share no node.
+        let tx = |flow: usize, a: usize, b: usize| ScheduledTx {
+            flow: FlowId::new(flow),
             job_index: 0,
-            link: DirectedLink::new(entry.tx.link.rx, NodeId::new(model.node_count() - 1)),
+            link: DirectedLink::new(NodeId::new(a), NodeId::new(b)),
             seq: 0,
             attempt: 0,
         };
-        // bypass the debug assertion by placing in release... place panics in
-        // debug; construct violation via a fresh schedule instead
-        let mut bad = Schedule::new(s.horizon(), s.channel_count(), s.node_count());
-        bad.place(0, 0, entry.tx);
-        let overlapping = ScheduledTx {
-            flow: FlowId::new(98),
-            job_index: 0,
-            link: DirectedLink::new(
-                NodeId::new(model.node_count() - 1),
-                NodeId::new(model.node_count() - 2),
-            ),
-            seq: 0,
-            attempt: 0,
-        };
-        bad.place(0, 1, overlapping);
-        let _ = foreign;
-        s = bad;
-        let violations = check(&s, &flows, &model, Some(2)).unwrap_err();
-        // the hand schedule is missing nearly everything; conflict checks
-        // still run — here nodes are disjoint so only completeness fires
-        assert!(!violations.is_empty());
+        let cells = [[tx(0, 2, 3)], [tx(1, 0, 1)], [tx(2, 1, 4)], [tx(3, 0, 1)], [tx(4, 2, 3)]];
+        let grid = [(2, 0), (3, 0), (3, 1), (5, 0), (5, 1)];
+        let mut out = Vec::new();
+        check_conflicts(
+            grid.iter().zip(&cells).map(|(&(slot, offset), cell)| (slot, offset, &cell[..])),
+            5,
+            &mut out,
+        );
+        assert_eq!(out, vec![Violation::Conflict { slot: 3 }]);
     }
 
     #[test]

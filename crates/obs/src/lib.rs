@@ -9,8 +9,8 @@
 //!   record). With no subscriber installed — the default — every emission
 //!   site costs one relaxed atomic load.
 //! - **Metrics** ([`metrics`]): named counters, gauges, fixed-bucket
-//!   histograms, HDR quantile histograms ([`hdr`], p50/p90/p99/p999), and
-//!   monotonic timers in a [`Registry`], snapshotting to
+//!   histograms and HDR quantile histograms ([`hdr`], p50/p90/p99/p999,
+//!   the one latency primitive) in a [`Registry`], snapshotting to
 //!   serde-serializable [`MetricsSnapshot`] reports. The global registry
 //!   is gated by [`set_metrics_enabled`] (default off), so components skip
 //!   instrument creation entirely on uninstrumented runs.
@@ -62,7 +62,7 @@ pub use flightrec::{chrome_trace, FlightRecord, FlightRecorder};
 pub use hdr::{HdrHistogram, HdrSnapshot};
 pub use metrics::{
     global as global_metrics, metrics_enabled, set_metrics_enabled, Counter, Gauge, Histogram,
-    MetricsSnapshot, Registry, Timer,
+    MetricsSnapshot, Registry,
 };
 pub use subscribers::{JsonLinesSubscriber, NullSubscriber, SharedBuffer, StderrSubscriber};
 pub use trace::{

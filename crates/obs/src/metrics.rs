@@ -1,6 +1,7 @@
-//! Metrics: counters, gauges, fixed-bucket histograms, and monotonic
-//! timers, registered by name and snapshotted into serde-serializable
-//! reports.
+//! Metrics: counters, gauges, fixed-bucket histograms, and HDR quantile
+//! histograms, registered by name and snapshotted into serde-serializable
+//! reports. Latencies go into quantile histograms
+//! ([`HdrHistogram::record_nanos`]), under names that end in their unit.
 //!
 //! Handles are cheap `Arc`-backed clones; recording is lock-free atomics.
 //! Instrument *creation* goes through a [`Registry`] (a short write-lock),
@@ -14,7 +15,6 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
-use std::time::Instant;
 
 /// A monotonically increasing `u64` counter.
 #[derive(Debug, Clone)]
@@ -129,61 +129,17 @@ impl Histogram {
     }
 }
 
-#[derive(Debug)]
-struct TimerInner {
-    count: AtomicU64,
-    total_nanos: AtomicU64,
-}
-
-/// Accumulates wall-clock durations: total time and number of timed
-/// sections.
-#[derive(Debug, Clone)]
-pub struct Timer(Arc<TimerInner>);
-
-impl Timer {
-    /// Starts timing; the section is recorded when the guard drops.
-    pub fn start(&self) -> TimerGuard {
-        TimerGuard { timer: self.clone(), started: Instant::now() }
-    }
-
-    /// Records an already-measured duration.
-    pub fn record(&self, elapsed: std::time::Duration) {
-        self.0.count.fetch_add(1, Ordering::Relaxed);
-        let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        self.0.total_nanos.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Number of recorded sections.
-    pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
-    }
-}
-
-/// RAII guard from [`Timer::start`].
-#[must_use = "dropping the guard records the elapsed time immediately"]
-pub struct TimerGuard {
-    timer: Timer,
-    started: Instant,
-}
-
-impl Drop for TimerGuard {
-    fn drop(&mut self) {
-        self.timer.record(self.started.elapsed());
-    }
-}
-
 #[derive(Default)]
 struct RegistryInner {
     counters: BTreeMap<String, Counter>,
     gauges: BTreeMap<String, Gauge>,
     histograms: BTreeMap<String, Histogram>,
     quantiles: BTreeMap<String, HdrHistogram>,
-    timers: BTreeMap<String, Timer>,
 }
 
 /// A named collection of instruments.
 ///
-/// `counter`/`gauge`/`histogram`/`timer` return the existing instrument
+/// `counter`/`gauge`/`histogram`/`quantile` return the existing instrument
 /// when the name was already registered (for histograms, the registered
 /// bounds win), so independent call sites agree on one instrument per
 /// name.
@@ -239,21 +195,6 @@ impl Registry {
         inner.quantiles.entry(name.to_string()).or_default().clone()
     }
 
-    /// Returns the timer registered under `name`, creating it on first use.
-    pub fn timer(&self, name: &str) -> Timer {
-        let mut inner = self.inner.write().expect("registry lock poisoned");
-        inner
-            .timers
-            .entry(name.to_string())
-            .or_insert_with(|| {
-                Timer(Arc::new(TimerInner {
-                    count: AtomicU64::new(0),
-                    total_nanos: AtomicU64::new(0),
-                }))
-            })
-            .clone()
-    }
-
     /// Captures the current value of every instrument.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let inner = self.inner.read().expect("registry lock poisoned");
@@ -262,19 +203,6 @@ impl Registry {
             gauges: inner.gauges.iter().map(|(k, g)| (k.clone(), g.get())).collect(),
             histograms: inner.histograms.iter().map(|(k, h)| (k.clone(), h.snapshot())).collect(),
             quantiles: inner.quantiles.iter().map(|(k, h)| (k.clone(), h.snapshot())).collect(),
-            timers: inner
-                .timers
-                .iter()
-                .map(|(k, t)| {
-                    (
-                        k.clone(),
-                        TimerSnapshot {
-                            count: t.0.count.load(Ordering::Relaxed),
-                            total_nanos: t.0.total_nanos.load(Ordering::Relaxed),
-                        },
-                    )
-                })
-                .collect(),
         }
     }
 
@@ -310,15 +238,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// Point-in-time state of a [`Timer`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TimerSnapshot {
-    /// Number of timed sections.
-    pub count: u64,
-    /// Total wall-clock time across all sections, in nanoseconds.
-    pub total_nanos: u64,
-}
-
 /// Serializable snapshot of a whole [`Registry`].
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
@@ -330,8 +249,6 @@ pub struct MetricsSnapshot {
     pub histograms: BTreeMap<String, HistogramSnapshot>,
     /// HDR quantile-histogram states by name (p50/p90/p99/p999).
     pub quantiles: BTreeMap<String, HdrSnapshot>,
-    /// Timer states by name.
-    pub timers: BTreeMap<String, TimerSnapshot>,
 }
 
 static METRICS_ENABLED: AtomicBool = AtomicBool::new(false);
@@ -405,17 +322,15 @@ mod tests {
     }
 
     #[test]
-    fn timer_accumulates() {
+    fn quantile_records_durations() {
         let reg = Registry::new();
-        let t = reg.timer("phase");
-        {
-            let _g = t.start();
-        }
-        t.record(std::time::Duration::from_nanos(250));
-        let snap = reg.snapshot();
-        let ts = &snap.timers["phase"];
-        assert_eq!(ts.count, 2);
-        assert!(ts.total_nanos >= 250);
+        let q = reg.quantile("phase_ns");
+        q.record_nanos(std::time::Duration::from_nanos(250));
+        reg.quantile("phase_ns").record_nanos(std::time::Duration::from_micros(3));
+        let snap = &reg.snapshot().quantiles["phase_ns"];
+        assert_eq!(snap.count, 2);
+        assert_eq!(snap.sum, 3_250);
+        assert_eq!((snap.min, snap.max), (250, 3_000));
     }
 
     #[test]

@@ -114,7 +114,7 @@ fn metrics_snapshot_serde_round_trip() {
     for v in [0.1, 0.6, 0.93, 0.97, 1.0] {
         h.observe(v);
     }
-    registry.timer("schedule").record(std::time::Duration::from_micros(830));
+    registry.quantile("schedule_ns").record_nanos(std::time::Duration::from_micros(830));
 
     let snapshot = registry.snapshot();
     let json = serde_json::to_string_pretty(&snapshot).expect("serializable");
@@ -127,8 +127,8 @@ fn metrics_snapshot_serde_round_trip() {
     assert_eq!(hist.count, 5);
     // le-bound semantics: 0.1→(-∞,0.25], 0.6→(0.5,0.75], 0.93/0.97/1.0→(0.9,1.0]
     assert_eq!(hist.buckets, vec![1, 0, 1, 0, 3, 0]);
-    assert_eq!(back.timers["schedule"].count, 1);
-    assert_eq!(back.timers["schedule"].total_nanos, 830_000);
+    assert_eq!(back.quantiles["schedule_ns"].count, 1);
+    assert_eq!(back.quantiles["schedule_ns"].sum, 830_000);
 }
 
 #[test]

@@ -223,22 +223,3 @@ fn mismatched_journal_header_is_refused() {
     assert!(err.to_string().contains("journal header"), "{err}");
     std::fs::remove_file(&path).unwrap();
 }
-
-/// Paranoid mode re-checks every accepted delta with the independent
-/// validator in release builds too; on a clean engine this is invisible.
-#[test]
-fn paranoid_gateway_behaves_identically() {
-    let mut plain = rc_gateway(6, 2);
-    let mut paranoid = GatewayState::new(
-        line_network(6, 2),
-        Box::new(ReuseConservatively::new(2)),
-        GatewayConfig { rho_t: Some(2), paranoid: true, ..GatewayConfig::default() },
-    );
-    for (i, (a, b)) in [(0usize, 2usize), (3, 5), (1, 4)].iter().enumerate() {
-        let route = line_route(*a, *b);
-        let spec = FlowSpec { route, period: Period::from_slots(32).unwrap(), deadline_slots: 24 };
-        plain.add_flow(&format!("f{i}"), spec.clone()).unwrap();
-        paranoid.add_flow(&format!("f{i}"), spec).unwrap();
-    }
-    assert_eq!(plain.schedule(), paranoid.schedule());
-}
