@@ -18,8 +18,8 @@ cargo build --release --workspace
 echo "==> cargo test (tier 1)"
 cargo test -q --workspace
 
-echo "==> release-mode tests of the core and simulator (floating point as the benchmark builds it)"
-cargo test --release --offline -q -p wsan-core -p wsan-sim
+echo "==> release-mode tests of the core, simulator and network model (floating point as the benchmark builds it)"
+cargo test --release --offline -q -p wsan-core -p wsan-sim -p wsan-net
 # the slot-conflict test needs release builds (`Schedule::place` asserts in debug)
 release_core_list="$(cargo test --release --offline -q -p wsan-core --lib -- --list)"
 echo "$release_core_list" | grep -q "node_conflict_is_reported_on_both_paths"
@@ -42,6 +42,13 @@ echo "==> validator equivalence suite runs in the default pass"
 validate_list="$(cargo test -q -p wsan-core --lib -- --list)"
 echo "$validate_list" | grep -q "linear_check_matches_the_oracle"
 echo "$validate_list" | grep -q "stitched_validator_matches_the_exact_hop_oracle"
+
+echo "==> plant pruning equivalence suite and golden plants run in the default pass"
+plant_list="$(cargo test -q -p wsan-net --lib -- --list)"
+echo "$plant_list" | grep -q "pruned_plants_match_the_unpruned_oracle"
+golden_plant_list="$(cargo test -q -p wsan-net --test golden_plants -- --list)"
+echo "$golden_plant_list" | grep -q "multi_floor_plant_matches_its_pin"
+echo "$golden_plant_list" | grep -q "city_plant_matches_its_pin"
 
 echo "==> shard routing-graph equivalence suite runs in the default pass"
 shard_list="$(cargo test -q --test scale_sharding -- --list)"
@@ -140,6 +147,7 @@ big_start="$(date +%s)"
 big_elapsed="$(( $(date +%s) - big_start ))"
 cat "$big_dir/shard.log"
 grep -q "validated" "$big_dir/shard.log"
+grep -q "plant city-5000: 5000 nodes, 283470 links" "$big_dir/shard.log"
 grep -q "digest 2e2cfb97b8fc1adf" "$big_dir/shard.log"
 grep -q '"shards": 8' "$big_dir/shard.json"
 # the whole plan+schedule+stitch+validate pipeline must stay interactive;
@@ -149,6 +157,7 @@ test "$big_elapsed" -le 120
     --flows-per-shard 3 --seed 42 > "$big_dir/shard10k.log"
 cat "$big_dir/shard10k.log"
 grep -q "validated" "$big_dir/shard10k.log"
+grep -q "plant city-10000: 10000 nodes, 586388 links" "$big_dir/shard10k.log"
 grep -q "digest fc5142819e0905c3" "$big_dir/shard10k.log"
 rm -rf "$big_dir"
 

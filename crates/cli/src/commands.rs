@@ -762,7 +762,8 @@ fn cmd_shard(args: &Args) -> Result<(), String> {
         prr_t: Prr::new(0.9).expect("valid"),
     };
     let plant_cfg = wsan_net::plants::PlantConfig::city(format!("city-{nodes}"), nodes);
-    let plant = wsan_net::plants::generate(&plant_cfg, seed);
+    let plant = wsan_net::plants::try_generate(&plant_cfg, seed, jobs)
+        .map_err(|e| format!("plant generation failed: {e}"))?;
     println!(
         "plant {}: {} nodes, {} links (cutoff {:.1} m)",
         plant.name(),
@@ -1171,6 +1172,15 @@ mod export_tests {
     fn shard_requires_nodes() {
         let err = run(&["shard"]).unwrap_err();
         assert!(err.contains("--nodes"), "{err}");
+    }
+
+    #[test]
+    fn shard_beyond_the_node_id_space_is_an_error_not_a_panic() {
+        let err = run(&["shard", "--nodes", "70000", "--shards", "2"]).unwrap_err();
+        assert_eq!(
+            err,
+            "plant generation failed: plant of 70000 nodes exceeds the 65536-node id space"
+        );
     }
 
     #[test]

@@ -754,20 +754,29 @@ mod tests {
         let plant = test_plant();
         let channels = ChannelId::all();
         let model = NetworkModel::from_reuse_graph(&plant.reuse_graph(&channels), channels.len());
-        // node 1 receives on offset 0 and sends on offset 1 of slot 2: no
-        // cell is shared, so only the conflict pass can object
+        // two one-hop flows, 0 → 1 and 1 → 2, with one job each in a
+        // 4-slot horizon; node 1 receives on offset 0 and sends on offset 1
+        // of slot 2: both jobs are complete and no cell is shared, so only
+        // the conflict pass can object
+        let period = wsan_flow::Period::from_slots(4).unwrap();
+        let one_hop = |a: usize, b: usize| {
+            let route = wsan_net::Route::new(vec![NodeId::new(a), NodeId::new(b)]);
+            wsan_flow::Flow::new(FlowId::new(0), route, period, 4).unwrap()
+        };
+        let flows = FlowSet::new(vec![one_hop(0, 1), one_hop(1, 2)], Vec::new());
         let mut forged = Schedule::new(4, channels.len(), plant.node_count());
-        for (flow, (a, b)) in [(0, 1), (1, 2)].into_iter().enumerate() {
-            let link = wsan_net::DirectedLink::new(NodeId::new(a), NodeId::new(b));
-            forged.place(
-                2,
-                flow,
-                ScheduledTx { flow: FlowId::new(flow), job_index: 0, link, seq: 0, attempt: 0 },
-            );
+        for (offset, flow) in flows.iter().enumerate() {
+            let tx = ScheduledTx {
+                flow: flow.id(),
+                job_index: 0,
+                link: flow.links()[0],
+                seq: 0,
+                attempt: 0,
+            };
+            forged.place(2, offset, tx);
         }
         let expected = Err(vec![Violation::Conflict { slot: 2 }]);
-        let no_flows = FlowSet::new(Vec::new(), Vec::new());
-        assert_eq!(validate::check(&forged, &no_flows, &model, Some(2)), expected);
+        assert_eq!(validate::check(&forged, &flows, &model, Some(2)), expected);
         assert_eq!(validate_stitched(&plant, &channels, Some(2), &forged), expected);
     }
 

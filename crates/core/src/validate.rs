@@ -56,6 +56,16 @@ pub enum Violation {
         /// Slot of the conflict.
         slot: u32,
     },
+    /// A transmission names a flow or job the flow set does not have, so
+    /// it holds a slot and two nodes that no job asks for.
+    UnknownJob {
+        /// The entry's flow index.
+        flow: usize,
+        /// The entry's job index.
+        job: u32,
+        /// Slot of the entry.
+        slot: u32,
+    },
     /// A shared cell violates the reuse hop-distance floor.
     ChannelConstraint {
         /// Slot of the violation.
@@ -76,6 +86,9 @@ impl fmt::Display for Violation {
             Violation::BadSequencing { flow, job, why } => {
                 write!(f, "flow {flow} job {job}: {why}")
             }
+            Violation::UnknownJob { flow, job, slot } => {
+                write!(f, "flow {flow} job {job}: slot {slot} holds a transmission of no known job")
+            }
             Violation::Conflict { slot } => write!(f, "transmission conflict in slot {slot}"),
             Violation::ChannelConstraint { slot, offset, observed } => write!(
                 f,
@@ -92,8 +105,9 @@ impl fmt::Display for Violation {
 /// # Errors
 ///
 /// Returns all violations found (empty `Ok` means the schedule is sound):
-/// job violations by flow and job, then slot conflicts by slot, then
-/// channel violations by cell.
+/// job violations by flow and job, then entries of unknown jobs in
+/// placement order, then slot conflicts by slot, then channel violations
+/// by cell.
 pub fn check(
     schedule: &Schedule,
     flows: &FlowSet,
@@ -134,8 +148,8 @@ pub(crate) fn check_interference(
 /// Properties 1 and 2. One counting sort buckets the entries by
 /// `(flow, job)`, keeping placement order within a bucket; `FlowSet` keeps
 /// `FlowId(i)` at position `i`, so job `k` of flow `i` is bucket
-/// `first[i] + k`. Entries naming no job of `flows` are ignored, as no job
-/// asks for them. Each bucket is then sorted by `seq` and checked.
+/// `first[i] + k`. Each bucket is then sorted by `seq` and checked, and
+/// every entry naming no job of `flows` is reported after the buckets.
 fn check_jobs(schedule: &Schedule, flows: &FlowSet, out: &mut Vec<Violation>) {
     let entries = schedule.entries();
     let jobs: Vec<Vec<Job>> = flows.iter().map(|flow| flow.jobs(schedule.horizon())).collect();
@@ -202,6 +216,13 @@ fn check_jobs(schedule: &Schedule, flows: &FlowSet, out: &mut Vec<Violation>) {
                 last_slot = Some(slot);
             }
         }
+    }
+    for e in entries.iter().filter(|e| bucket_of(e).is_none()) {
+        out.push(Violation::UnknownJob {
+            flow: e.tx.flow.index(),
+            job: e.tx.job_index,
+            slot: e.slot,
+        });
     }
 }
 
@@ -282,6 +303,27 @@ mod tests {
         ] {
             check(&sched, &flows, &model, Some(2)).unwrap();
         }
+    }
+
+    #[test]
+    fn entries_of_a_removed_flow_are_reported() {
+        let (flows, reuse) = parallel_set(3, 4, 60, 30);
+        let model = model_for(&reuse, 2);
+        let s = crate::NoReuse::new().schedule(&flows, &model).unwrap();
+        // the same schedule judged after its last flow is removed: every
+        // cell that flow left behind is stale
+        let removed = flows.len() - 1;
+        let kept = FlowSet::new(
+            flows.iter().take(removed).cloned().collect(),
+            flows.access_points().to_vec(),
+        );
+        let stale = s.entries().iter().filter(|e| e.tx.flow.index() == removed).count();
+        assert!(stale > 0);
+        let violations = check(&s, &kept, &model, Some(2)).unwrap_err();
+        assert_eq!(violations.len(), stale);
+        assert!(violations
+            .iter()
+            .all(|v| matches!(v, Violation::UnknownJob { flow, .. } if *flow == removed)));
     }
 
     #[test]

@@ -40,11 +40,7 @@ pub(crate) fn check(
     check_jobs(schedule, flows, &mut violations);
     check_conflicts(schedule, &mut violations);
     check_channels(schedule, model, rho_t, &mut violations);
-    if violations.is_empty() {
-        Ok(())
-    } else {
-        Err(violations)
-    }
+    super::verdict(violations)
 }
 
 fn check_jobs(schedule: &Schedule, flows: &FlowSet, out: &mut Vec<Violation>) {
@@ -119,6 +115,26 @@ fn check_jobs(schedule: &Schedule, flows: &FlowSet, out: &mut Vec<Violation>) {
             }
         }
     }
+    for entry in schedule.entries() {
+        let (flow, job) = (entry.tx.flow, entry.tx.job_index);
+        let known = flow.index() < flows.len()
+            && flows.flow(flow).jobs(horizon).iter().any(|j| j.index() == job);
+        if !known {
+            out.push(Violation::UnknownJob { flow: flow.index(), job, slot: entry.slot });
+        }
+    }
+}
+
+/// [`check`]'s slot-conflict and channel passes alone.
+fn check_interference(
+    schedule: &Schedule,
+    model: &NetworkModel,
+    rho_t: Option<u32>,
+) -> Result<(), Vec<Violation>> {
+    let mut violations = Vec::new();
+    check_conflicts(schedule, &mut violations);
+    check_channels(schedule, model, rho_t, &mut violations);
+    super::verdict(violations)
 }
 
 fn check_conflicts(schedule: &Schedule, out: &mut Vec<Violation>) {
@@ -404,20 +420,26 @@ proptest! {
             for mutation in Mutation::ALL {
                 let Some(mutated) = mutation.apply(schedule, &flows, &mut rng) else { continue };
                 let rho_t = random_floor(&mut rng);
+                let verdict = super::check(&mutated, &flows, &model, rho_t);
                 prop_assert_eq!(
-                    super::check(&mutated, &flows, &model, rho_t),
-                    check(&mutated, &flows, &model, rho_t),
+                    &verdict,
+                    &check(&mutated, &flows, &model, rho_t),
                     "seed {}, {:?}, rho_t {:?}", seed, mutation, rho_t
                 );
+                if let Mutation::UnknownJob = mutation {
+                    let flagged = verdict.as_ref().is_err_and(|found| {
+                        found.iter().any(|v| matches!(v, Violation::UnknownJob { .. }))
+                    });
+                    prop_assert!(flagged, "seed {}: the unknown job passed", seed);
+                }
             }
         }
     }
 
     /// `validate_stitched`, with its rho-capped BFS distances, returns
-    /// exactly the oracle's verdict computed from exact whole-plant hops,
-    /// on stitched schedules of random plants, valid and mutated. The
-    /// oracle gets an empty flow set, so its list holds only the
-    /// `Conflict`s and `ChannelConstraint`s both judge.
+    /// exactly the oracle's interference verdict computed from exact
+    /// whole-plant hops, on stitched schedules of random plants, valid and
+    /// mutated.
     #[test]
     fn stitched_validator_matches_the_exact_hop_oracle(seed in 0u64..u64::MAX) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -458,7 +480,7 @@ proptest! {
             let Some(mutated) = mutation.apply(&stitched, &no_flows, &mut rng) else { continue };
             prop_assert_eq!(
                 validate_stitched(&plant, &channels, reuse_floor, &mutated),
-                check(&mutated, &no_flows, &exact, reuse_floor),
+                check_interference(&mutated, &exact, reuse_floor),
                 "seed {}, {:?}, floor {:?}", seed, mutation, reuse_floor
             );
         }

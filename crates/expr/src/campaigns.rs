@@ -658,7 +658,8 @@ pub fn scale(
         |p| {
             let (nodes, shards, algo) = p.input;
             let plant_cfg = wsan_net::plants::PlantConfig::city(format!("city-{nodes}"), nodes);
-            let plant = wsan_net::plants::generate(&plant_cfg, opts.seed);
+            let plant = wsan_net::plants::try_generate(&plant_cfg, opts.seed, 1)
+                .map_err(|e| e.to_string())?;
             let shard_cfg = wsan_core::shard::ShardConfig {
                 flows_per_shard: if opts.quick { 3 } else { 6 },
                 ..wsan_core::shard::ShardConfig::new(shards, opts.seed, 0)

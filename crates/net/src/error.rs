@@ -37,6 +37,25 @@ pub enum NetError {
         /// Nodes present.
         present: usize,
     },
+    /// A plant configuration without buildings, floors, or nodes per floor.
+    DegeneratePlant {
+        /// What the configuration lacks.
+        reason: &'static str,
+    },
+    /// A plant configuration with more nodes than node ids exist.
+    PlantTooLarge {
+        /// Nodes configured (saturating at `usize::MAX`).
+        nodes: usize,
+        /// Size of the node id space.
+        limit: usize,
+    },
+    /// No candidate plant had a connected communication graph.
+    DisconnectedPlant {
+        /// Name of the plant configuration.
+        name: String,
+        /// Candidates drawn.
+        attempts: u32,
+    },
 }
 
 impl fmt::Display for NetError {
@@ -59,6 +78,15 @@ impl fmt::Display for NetError {
             NetError::TooFewNodes { required, present } => {
                 write!(f, "operation requires {required} nodes but topology has {present}")
             }
+            NetError::DegeneratePlant { reason } => write!(f, "degenerate plant: {reason}"),
+            NetError::PlantTooLarge { nodes, limit } => {
+                write!(f, "plant of {nodes} nodes exceeds the {limit}-node id space")
+            }
+            NetError::DisconnectedPlant { name, attempts } => write!(
+                f,
+                "no connected communication graph after {attempts} attempts for plant \
+                 '{name}'; the street grid is out of radio range"
+            ),
         }
     }
 }

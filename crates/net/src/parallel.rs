@@ -1,11 +1,11 @@
 //! Tiny data-parallel helper over std scoped threads.
 //!
 //! Hosted in `wsan_net`, the lowest layer that fans out, so every crate
-//! above uses the same pool: the graph layer's multi-source BFS builders,
-//! the sharded scheduler's per-shard fan-out, and `wsan_expr`'s
-//! schedulability sweeps (100 independent flow sets per configuration
-//! point). The campaign engine's own worker pool reuses
-//! [`payload_message`].
+//! above uses the same pool: the plant generator's pair loop, the graph
+//! layer's multi-source BFS builders, the sharded scheduler's per-shard
+//! fan-out, and `wsan_expr`'s schedulability sweeps (100 independent flow
+//! sets per configuration point). The campaign engine's own worker pool
+//! reuses [`payload_message`].
 
 /// Applies `f` to `0..n` across up to `available_parallelism` threads and
 /// returns the results in index order.
@@ -38,12 +38,7 @@ where
     if n == 0 {
         return Vec::new();
     }
-    let workers = if workers == 0 {
-        std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
-    } else {
-        workers
-    }
-    .min(n);
+    let workers = worker_count(workers).min(n);
     if workers <= 1 {
         return (0..n).map(|i| call_checked(&f, i)).collect();
     }
@@ -100,6 +95,16 @@ where
         panic!("parallel_map: item {index} panicked: {message}");
     }
     results.into_iter().map(|r| r.expect("all indices computed")).collect()
+}
+
+/// The pool size `workers` asks for: itself, or `available_parallelism`
+/// for `0`.
+pub(crate) fn worker_count(workers: usize) -> usize {
+    if workers == 0 {
+        std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
+    } else {
+        workers
+    }
 }
 
 /// Sequential fallback with the same panic enrichment as the worker path.

@@ -11,11 +11,12 @@
 //!
 //! Determinism: every draw affecting a pair `{a, b}` comes from an RNG
 //! seeded by `(seed, a, b)`, so the generated plant is independent of link
-//! enumeration order and identical across runs and thread counts.
+//! enumeration order and identical across runs and worker counts.
 
 use crate::channel::BAND_SIZE;
+use crate::parallel::parallel_map_with;
 use crate::propagation::PropagationModel;
-use crate::{ChannelSet, CommGraph, NodeId, Position, Prr, ReuseGraph};
+use crate::{ChannelSet, CommGraph, NetError, NodeId, Position, Prr, ReuseGraph};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -58,9 +59,14 @@ impl PlantConfig {
         let nodes_per_floor = 25;
         let per_building = floors * nodes_per_floor;
         let buildings = target_nodes.div_ceil(per_building).max(1);
-        // the most square grid whose cell count overshoots the least
+        // the most square grid whose cell count overshoots the least; a
+        // campus past the node id space is refused by `try_generate` on
+        // any grid, so it keeps one row instead of a search that is linear
+        // in its building count
         let (mut bx, mut by) = (buildings, 1);
-        for cand_x in 1..=buildings {
+        let fits = buildings.saturating_mul(per_building) <= NODE_ID_SPACE;
+        let searched = if fits { buildings } else { 0 };
+        for cand_x in 1..=searched {
             let cand_y = buildings.div_ceil(cand_x);
             let better_fit = cand_x * cand_y < bx * by;
             let as_good = cand_x * cand_y == bx * by;
@@ -260,13 +266,50 @@ fn shadow_margin_db(config: &PlantConfig) -> f64 {
     4.0 * var.sqrt()
 }
 
-/// Generates a validated plant from a configuration and seed.
+/// Candidate plants [`try_generate`] draws before it gives up on a
+/// connected one.
+const ATTEMPTS: u32 = 64;
+
+/// Nodes a plant can hold: one per [`NodeId`].
+const NODE_ID_SPACE: usize = u16::MAX as usize + 1;
+
+/// Generates a validated plant from a configuration and seed, evaluating
+/// node pairs on `jobs` workers (`0` selects every core, as
+/// [`parallel_map`](crate::parallel::parallel_map) does).
 ///
-/// Determinism: the same `(config, seed)` always yields the same plant.
-/// If a candidate's communication graph (all 16 channels, `PRR_t = 0.9`)
-/// is disconnected, deterministic retry seeds are derived from `seed`
-/// until one passes — the same convention as
+/// Determinism: the same `(config, seed)` always yields the same plant,
+/// whatever `jobs` is. If a candidate's communication graph (all 16
+/// channels, `PRR_t = 0.9`) is disconnected, deterministic retry seeds are
+/// derived from `seed` until one passes — the same convention as
 /// [`testbeds::generate`](crate::testbeds::generate).
+///
+/// # Errors
+///
+/// - [`NetError::DegeneratePlant`] for zero buildings, floors, or nodes
+///   per floor;
+/// - [`NetError::PlantTooLarge`] for more nodes than the 65 536-node id
+///   space holds;
+/// - [`NetError::DisconnectedPlant`] when no connected candidate is found
+///   within 64 attempts (streets far wider than radio range).
+pub fn try_generate(config: &PlantConfig, seed: u64, jobs: usize) -> Result<Plant, NetError> {
+    check_config(config)?;
+    let all = crate::ChannelId::all();
+    let prr_t = Prr::new(0.9).expect("0.9 is a valid PRR");
+    for attempt in 0..ATTEMPTS {
+        let candidate_seed =
+            seed.wrapping_add(u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let plant = candidate(config, candidate_seed, |pairs, positions, cutoff| {
+            generate_links(pairs, positions, cutoff, jobs)
+        });
+        if plant.comm_graph(&all, prr_t).is_connected() {
+            return Ok(plant);
+        }
+    }
+    Err(NetError::DisconnectedPlant { name: config.name.clone(), attempts: ATTEMPTS })
+}
+
+/// [`try_generate`] on every core, panicking where it would return an
+/// error.
 ///
 /// # Panics
 ///
@@ -274,31 +317,37 @@ fn shadow_margin_db(config: &PlantConfig) -> f64 {
 /// nodes per floor; more than 65 536 nodes), or if no connected candidate
 /// is found within 64 attempts (streets far wider than radio range).
 pub fn generate(config: &PlantConfig, seed: u64) -> Plant {
-    assert!(config.buildings_x > 0 && config.buildings_y > 0, "plant needs at least one building");
-    assert!(config.floors > 0, "buildings need at least one floor");
-    assert!(config.nodes_per_floor > 0, "floors need at least one node");
-    assert!(
-        config.node_count() <= usize::from(u16::MAX) + 1,
-        "plant exceeds the 65 536-node id space"
-    );
-    let all = crate::ChannelId::all();
-    let prr_t = Prr::new(0.9).expect("0.9 is a valid PRR");
-    for attempt in 0..64u64 {
-        let candidate_seed = seed.wrapping_add(attempt.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let plant = generate_unchecked(config, candidate_seed);
-        if plant.comm_graph(&all, prr_t).is_connected() {
-            return plant;
-        }
-    }
-    panic!(
-        "no connected communication graph after 64 attempts for plant '{}'; \
-         the street grid is out of radio range",
-        config.name
-    );
+    try_generate(config, seed, 0).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Generates a candidate plant without the connectivity check.
-fn generate_unchecked(config: &PlantConfig, seed: u64) -> Plant {
+/// The configuration checks of [`try_generate`].
+fn check_config(config: &PlantConfig) -> Result<(), NetError> {
+    let degenerate = |reason| Err(NetError::DegeneratePlant { reason });
+    if config.buildings_x == 0 || config.buildings_y == 0 {
+        return degenerate("plant needs at least one building");
+    }
+    if config.floors == 0 {
+        return degenerate("buildings need at least one floor");
+    }
+    if config.nodes_per_floor == 0 {
+        return degenerate("floors need at least one node");
+    }
+    let nodes = [config.buildings_y, config.floors, config.nodes_per_floor]
+        .iter()
+        .fold(config.buildings_x, |n, &k| n.saturating_mul(k));
+    if nodes > NODE_ID_SPACE {
+        return Err(NetError::PlantTooLarge { nodes, limit: NODE_ID_SPACE });
+    }
+    Ok(())
+}
+
+/// Generates a candidate plant without the connectivity check, with
+/// `links` evaluating the node pairs of the placed nodes.
+fn candidate(
+    config: &PlantConfig,
+    seed: u64,
+    links: impl FnOnce(&PairModel, &[Position], f64) -> Vec<PlantLink>,
+) -> Plant {
     let mut rng = StdRng::seed_from_u64(seed);
     // Campus-wide per-channel quality offsets (drawn before any pair state
     // so they do not depend on the layout).
@@ -307,7 +356,7 @@ fn generate_unchecked(config: &PlantConfig, seed: u64) -> Plant {
     let (positions, building_of) = place_nodes(config, &mut rng);
 
     let cutoff = link_cutoff_m(&config.model, shadow_margin_db(config));
-    let links = generate_links(config, seed, &positions, cutoff, &channel_offsets);
+    let links = links(&PairModel::new(&config.model, seed, &channel_offsets), &positions, cutoff);
 
     let mut adjacency = vec![Vec::new(); positions.len()];
     for (i, link) in links.iter().enumerate() {
@@ -362,87 +411,185 @@ fn place_nodes(config: &PlantConfig, rng: &mut StdRng) -> (Vec<Position>, Vec<u3
     (positions, building_of)
 }
 
+/// Nodes per block of the pair loop's fan-out.
+const BLOCK_NODES: usize = 16;
+/// Blocks each worker evaluates per round. A round's links wait in memory
+/// until the round is appended, so a round stays small next to the plant.
+const BLOCKS_PER_WORKER: usize = 4;
+
 /// Evaluates every pair within `cutoff` through the propagation model,
-/// keeping the links with a nonzero PRR somewhere. Neighbor candidates
-/// come from a uniform `cutoff × cutoff` spatial grid, so the work is
-/// `O(nodes × neighborhood)` instead of `O(nodes²)`.
+/// keeping the links with a nonzero PRR somewhere, in `(a, b)` order.
+///
+/// The lower endpoints are cut into blocks of [`BLOCK_NODES`] nodes that
+/// fan out over `jobs` workers in rounds of [`BLOCKS_PER_WORKER`] blocks
+/// per worker; each round is appended in block order and dropped before
+/// the next one starts. A block lists each node's links by ascending upper
+/// endpoint, so the concatenation is already sorted.
 fn generate_links(
-    config: &PlantConfig,
-    seed: u64,
+    pairs: &PairModel,
     positions: &[Position],
     cutoff: f64,
-    channel_offsets: &[f64],
+    jobs: usize,
 ) -> Vec<PlantLink> {
-    let model = &config.model;
-    let cell = cutoff.max(1.0);
-    let key = |p: &Position| ((p.x / cell).floor() as i64, (p.y / cell).floor() as i64);
-    let mut grid: std::collections::BTreeMap<(i64, i64), Vec<usize>> =
-        std::collections::BTreeMap::new();
-    for (i, p) in positions.iter().enumerate() {
-        grid.entry(key(p)).or_default().push(i);
-    }
+    let grid = NeighborGrid::new(positions, cutoff);
+    let workers = crate::parallel::worker_count(jobs);
+    let blocks = positions.len().div_ceil(BLOCK_NODES);
+    let per_round = workers * BLOCKS_PER_WORKER;
     let mut links = Vec::new();
-    for (i, pa) in positions.iter().enumerate() {
-        let (kx, ky) = key(pa);
-        for nx in (kx - 1)..=(kx + 1) {
-            for ny in (ky - 1)..=(ky + 1) {
-                let Some(bucket) = grid.get(&(nx, ny)) else { continue };
-                for &j in bucket {
-                    if j <= i {
-                        continue;
-                    }
-                    let pb = &positions[j];
-                    let d = pa.distance(pb);
-                    if d > cutoff {
-                        continue;
-                    }
-                    if let Some(link) = link_between(model, seed, i, j, pa, pb, d, channel_offsets)
-                    {
-                        links.push(link);
-                    }
-                }
-            }
+    for first in (0..blocks).step_by(per_round) {
+        let round = parallel_map_with(per_round.min(blocks - first), workers, |k| {
+            let start = (first + k) * BLOCK_NODES;
+            let end = (start + BLOCK_NODES).min(positions.len());
+            block_links(pairs, &grid, positions, cutoff, start..end)
+        });
+        for block in round {
+            links.extend(block);
         }
     }
-    links.sort_by_key(|l| (l.a, l.b));
     links
 }
 
-/// Draws one pair's per-channel PRR from an RNG keyed by `(seed, a, b)`;
-/// returns `None` when every direction of every channel lands on zero.
-#[allow(clippy::too_many_arguments)]
-fn link_between(
-    model: &PropagationModel,
-    seed: u64,
-    a: usize,
-    b: usize,
-    pa: &Position,
-    pb: &Position,
-    d: f64,
-    channel_offsets: &[f64],
-) -> Option<PlantLink> {
-    let floors = pa.floors_between(pb, model.floor_height_m);
-    let mean = model.mean_rssi_dbm(d, floors);
-    let mut rng = StdRng::seed_from_u64(pair_seed(seed, a, b));
-    // Pair-level shadowing: one draw for the whole band (the testbeds
-    // draw order, replayed from the pair-keyed RNG).
-    let pair_shadow = gaussian(&mut rng) * model.pair_shadowing_sigma_db;
-    let mut prr_ab = [0.0f32; BAND_SIZE];
-    let mut prr_ba = [0.0f32; BAND_SIZE];
-    let mut any = false;
-    for ch in 0..BAND_SIZE {
-        let shadow = pair_shadow
-            + gaussian(&mut rng) * model.channel_shadowing_sigma_db
-            + channel_offsets[ch];
-        for dir in [&mut prr_ab, &mut prr_ba] {
-            // ... plus a small per-direction asymmetry
-            let asym = gaussian(&mut rng) * model.asymmetry_sigma_db;
-            let prr = model.prr_from_rssi(mean + shadow + asym).value() as f32;
-            dir[ch] = prr;
-            any |= prr > 0.0;
+/// The links whose lower endpoint lies in `nodes`, by `(a, b)`.
+fn block_links(
+    pairs: &PairModel,
+    grid: &NeighborGrid,
+    positions: &[Position],
+    cutoff: f64,
+    nodes: std::ops::Range<usize>,
+) -> Vec<PlantLink> {
+    let mut links = Vec::new();
+    let mut above = Vec::new();
+    for a in nodes {
+        let pa = &positions[a];
+        above.clear();
+        above.extend(grid.near(pa).filter(|&b| b > a));
+        above.sort_unstable();
+        for &b in &above {
+            let pb = &positions[b];
+            let d = pa.distance(pb);
+            if d <= cutoff {
+                links.extend(pairs.link(a, b, pa, pb, d));
+            }
         }
     }
-    any.then(|| PlantLink { a: NodeId::new(a), b: NodeId::new(b), prr_ab, prr_ba })
+    links
+}
+
+/// A uniform `cutoff × cutoff` spatial grid over the node positions, so
+/// neighbor candidates cost `O(neighborhood)` per node instead of `O(n)`.
+struct NeighborGrid {
+    cell: f64,
+    buckets: std::collections::BTreeMap<(i64, i64), Vec<usize>>,
+}
+
+impl NeighborGrid {
+    fn new(positions: &[Position], cutoff: f64) -> Self {
+        let mut grid = NeighborGrid { cell: cutoff.max(1.0), buckets: Default::default() };
+        for (i, p) in positions.iter().enumerate() {
+            grid.buckets.entry(grid.key(p)).or_default().push(i);
+        }
+        grid
+    }
+
+    fn key(&self, p: &Position) -> (i64, i64) {
+        ((p.x / self.cell).floor() as i64, (p.y / self.cell).floor() as i64)
+    }
+
+    /// Every node in the 3 × 3 cells around `p`, a superset of the nodes
+    /// within `cell` of `p` in the plane.
+    fn near(&self, p: &Position) -> impl Iterator<Item = usize> + '_ {
+        let (kx, ky) = self.key(p);
+        ((kx - 1)..=(kx + 1))
+            .flat_map(move |nx| ((ky - 1)..=(ky + 1)).map(move |ny| (nx, ny)))
+            .filter_map(|key| self.buckets.get(&key))
+            .flatten()
+            .copied()
+    }
+}
+
+/// Margin, in dB, added to every bound of [`PairModel`] before it is
+/// tested. The bounds are sums and products, which correct rounding keeps
+/// monotone; `ln`, `cos` and `exp` are not proven exact to the last ulp,
+/// and this margin exceeds their error on any dB quantity below ~10⁶ dB.
+const SLACK_DB: f64 = 1e-6;
+
+/// One candidate plant's per-pair PRR model: the propagation model, the
+/// seed the pair RNGs are keyed on, the campus-wide channel offsets, and
+/// the bound terms that let [`PairModel::link`] skip what cannot link
+/// (DESIGN.md §15).
+struct PairModel<'a> {
+    model: &'a PropagationModel,
+    seed: u64,
+    channel_offsets: &'a [f64],
+    /// `B·|σ_channel|`, the largest per-channel shadowing draw.
+    channel_reach_db: f64,
+    /// The largest campus-wide channel offset.
+    offset_max_db: f64,
+    /// `B·|σ_asymmetry|`, the largest per-direction asymmetry draw.
+    asymmetry_reach_db: f64,
+}
+
+impl<'a> PairModel<'a> {
+    fn new(model: &'a PropagationModel, seed: u64, channel_offsets: &'a [f64]) -> Self {
+        let b = normal_bound();
+        PairModel {
+            model,
+            seed,
+            channel_offsets,
+            channel_reach_db: b * model.channel_shadowing_sigma_db.abs(),
+            offset_max_db: channel_offsets.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+            asymmetry_reach_db: b * model.asymmetry_sigma_db.abs(),
+        }
+    }
+
+    /// Draws one pair's per-channel PRR from an RNG keyed by `(seed, a, b)`;
+    /// returns `None` when every direction of every channel lands on zero.
+    ///
+    /// Exactly the values of the full draw, which evaluates every normal:
+    /// a pair whose best channel under the largest draws is below the PRR
+    /// floor returns `None` right after its pair shadowing, and a channel
+    /// that is below it in both directions under the largest asymmetry
+    /// keeps PRR 0 and skips its two asymmetry normals, advancing the RNG
+    /// past them.
+    fn link(&self, a: usize, b: usize, pa: &Position, pb: &Position, d: f64) -> Option<PlantLink> {
+        let model = self.model;
+        let floors = pa.floors_between(pb, model.floor_height_m);
+        let mean = model.mean_rssi_dbm(d, floors);
+        let mut rng = StdRng::seed_from_u64(pair_seed(self.seed, a, b));
+        // Pair-level shadowing: one draw for the whole band (the testbeds
+        // draw order, replayed from the pair-keyed RNG).
+        let pair_shadow = gaussian(&mut rng) * model.pair_shadowing_sigma_db;
+        if self.dead(mean + (pair_shadow + self.channel_reach_db + self.offset_max_db)) {
+            return None;
+        }
+        let mut prr_ab = [0.0f32; BAND_SIZE];
+        let mut prr_ba = [0.0f32; BAND_SIZE];
+        let mut any = false;
+        for ch in 0..BAND_SIZE {
+            let shadow = pair_shadow
+                + gaussian(&mut rng) * model.channel_shadowing_sigma_db
+                + self.channel_offsets[ch];
+            if self.dead(mean + shadow) {
+                skip_normals(&mut rng, 2);
+                continue;
+            }
+            for dir in [&mut prr_ab, &mut prr_ba] {
+                // ... plus a small per-direction asymmetry
+                let asym = gaussian(&mut rng) * model.asymmetry_sigma_db;
+                let prr = model.prr_from_rssi(mean + shadow + asym).value() as f32;
+                dir[ch] = prr;
+                any |= prr > 0.0;
+            }
+        }
+        any.then(|| PlantLink { a: NodeId::new(a), b: NodeId::new(b), prr_ab, prr_ba })
+    }
+
+    /// Whether a direction whose RSSI before asymmetry is at most
+    /// `rssi_dbm` has PRR 0 under any asymmetry draw.
+    fn dead(&self, rssi_dbm: f64) -> bool {
+        let top = rssi_dbm + self.asymmetry_reach_db + SLACK_DB;
+        self.model.prr_from_rssi(top).value() <= 0.0
+    }
 }
 
 /// Order-independent per-pair seed: a splitmix64-style finalizer over the
@@ -456,17 +603,32 @@ fn pair_seed(seed: u64, a: usize, b: usize) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Standard normal draw via Box–Muller (mirrors `testbeds::gaussian`).
+/// Standard normal draw via Box–Muller (mirrors `testbeds::gaussian`). It
+/// takes two RNG words, one per uniform.
 fn gaussian(rng: &mut StdRng) -> f64 {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen::<f64>();
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
+/// Advances `rng` past `count` [`gaussian`] draws without computing them.
+fn skip_normals(rng: &mut StdRng, count: usize) {
+    for _ in 0..2 * count {
+        rng.next_u64();
+    }
+}
+
+/// `B`, the largest magnitude [`gaussian`] returns: `u1 ≥ ε` and
+/// `|cos| ≤ 1` give `|z| ≤ √(−2 ln ε)` ≈ 8.49.
+fn normal_bound() -> f64 {
+    (-2.0 * f64::EPSILON.ln()).sqrt()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ChannelId;
+    use proptest::prelude::*;
 
     fn small_config() -> PlantConfig {
         PlantConfig {
@@ -569,5 +731,190 @@ mod tests {
     fn cutoff_is_finite_and_indoor_scale() {
         let cutoff = link_cutoff_m(&PropagationModel::default(), 20.0);
         assert!(cutoff > 10.0 && cutoff < 500.0, "cutoff {cutoff} out of range");
+    }
+
+    #[test]
+    fn degenerate_configs_are_typed_errors() {
+        for cfg in [
+            PlantConfig { buildings_y: 0, ..small_config() },
+            PlantConfig { floors: 0, ..small_config() },
+            PlantConfig { nodes_per_floor: 0, ..small_config() },
+        ] {
+            let err = try_generate(&cfg, 1, 1).unwrap_err();
+            assert!(matches!(err, NetError::DegeneratePlant { .. }), "got {err:?}");
+        }
+    }
+
+    #[test]
+    fn more_nodes_than_ids_is_a_typed_error() {
+        let err = try_generate(&PlantConfig::city("city-70000", 70_000), 1, 1).unwrap_err();
+        assert_eq!(err, NetError::PlantTooLarge { nodes: 70_000, limit: 65_536 });
+        // a product past usize::MAX saturates instead of wrapping to a
+        // small, accepted count
+        let huge = PlantConfig { buildings_x: usize::MAX, buildings_y: 2, ..small_config() };
+        let err = try_generate(&huge, 1, 1).unwrap_err();
+        assert_eq!(err, NetError::PlantTooLarge { nodes: usize::MAX, limit: 65_536 });
+    }
+
+    #[test]
+    fn streets_beyond_radio_range_are_a_typed_error() {
+        let cfg =
+            PlantConfig { street_gap_m: 600.0, nodes_per_floor: 4, floors: 1, ..small_config() };
+        let err = try_generate(&cfg, 1, 1).unwrap_err();
+        assert_eq!(err, NetError::DisconnectedPlant { name: "small".to_string(), attempts: 64 });
+    }
+
+    #[test]
+    fn a_city_past_the_id_space_is_sized_at_once_and_refused() {
+        // a grid search over all 10¹³ building counts would not finish
+        let cfg = PlantConfig::city("city-10^15", 1_000_000_000_000_000);
+        assert_eq!((cfg.buildings_x, cfg.buildings_y), (10_000_000_000_000, 1));
+        let err = try_generate(&cfg, 1, 1).unwrap_err();
+        assert!(matches!(err, NetError::PlantTooLarge { .. }), "got {err:?}");
+        // a campus that fits still gets the searched, squarer grid
+        let fits = PlantConfig::city("city-65500", 65_500);
+        assert!(fits.buildings_y > 1 && fits.node_count() <= 65_536, "{fits:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "65536-node id space")]
+    fn generate_keeps_its_panics() {
+        let _ = generate(&PlantConfig::city("city-70000", 70_000), 1);
+    }
+
+    #[test]
+    fn skipped_normals_leave_the_rng_where_drawn_ones_do() {
+        let mut drawn = StdRng::seed_from_u64(pair_seed(9, 3, 4));
+        let mut skipped = drawn.clone();
+        gaussian(&mut drawn);
+        gaussian(&mut drawn);
+        skip_normals(&mut skipped, 2);
+        assert_eq!(drawn, skipped);
+    }
+
+    #[test]
+    fn normals_stay_within_the_bound() {
+        let b = normal_bound();
+        assert!((b - 8.49).abs() < 0.01, "bound {b}");
+        let mut rng = StdRng::seed_from_u64(5);
+        assert!((0..100_000).all(|_| gaussian(&mut rng).abs() <= b));
+    }
+
+    /// The pair draw without the dead-pair and dead-channel tests: every
+    /// pair evaluates all 49 normals and 32 PRRs.
+    #[allow(clippy::too_many_arguments)]
+    fn link_between(
+        model: &PropagationModel,
+        seed: u64,
+        a: usize,
+        b: usize,
+        pa: &Position,
+        pb: &Position,
+        d: f64,
+        channel_offsets: &[f64],
+    ) -> Option<PlantLink> {
+        let floors = pa.floors_between(pb, model.floor_height_m);
+        let mean = model.mean_rssi_dbm(d, floors);
+        let mut rng = StdRng::seed_from_u64(pair_seed(seed, a, b));
+        let pair_shadow = gaussian(&mut rng) * model.pair_shadowing_sigma_db;
+        let mut prr_ab = [0.0f32; BAND_SIZE];
+        let mut prr_ba = [0.0f32; BAND_SIZE];
+        let mut any = false;
+        for ch in 0..BAND_SIZE {
+            let shadow = pair_shadow
+                + gaussian(&mut rng) * model.channel_shadowing_sigma_db
+                + channel_offsets[ch];
+            for dir in [&mut prr_ab, &mut prr_ba] {
+                let asym = gaussian(&mut rng) * model.asymmetry_sigma_db;
+                let prr = model.prr_from_rssi(mean + shadow + asym).value() as f32;
+                dir[ch] = prr;
+                any |= prr > 0.0;
+            }
+        }
+        any.then(|| PlantLink { a: NodeId::new(a), b: NodeId::new(b), prr_ab, prr_ba })
+    }
+
+    /// The oracle's pair loop: every pair within `cutoff`, by brute force
+    /// in `(a, b)` order, through [`link_between`] on one thread.
+    fn oracle_links(pairs: &PairModel, positions: &[Position], cutoff: f64) -> Vec<PlantLink> {
+        let mut links = Vec::new();
+        for (a, pa) in positions.iter().enumerate() {
+            for (b, pb) in positions.iter().enumerate().skip(a + 1) {
+                let d = pa.distance(pb);
+                if d <= cutoff {
+                    let (model, seed, offsets) = (pairs.model, pairs.seed, pairs.channel_offsets);
+                    links.extend(link_between(model, seed, a, b, pa, pb, d, offsets));
+                }
+            }
+        }
+        links
+    }
+
+    /// Link by link, endpoints and PRR bits, then whole plants.
+    fn assert_same_plant(left: &Plant, right: &Plant, what: &str) -> Result<(), TestCaseError> {
+        prop_assert_eq!(left.links().len(), right.links().len(), "{}: link count", what);
+        let bits = |l: &PlantLink| -> Vec<u32> {
+            l.prr_ab.iter().chain(&l.prr_ba).map(|p| p.to_bits()).collect()
+        };
+        for (l, r) in left.links().iter().zip(right.links()) {
+            prop_assert_eq!((l.a, l.b), (r.a, r.b), "{}: endpoints", what);
+            prop_assert_eq!(bits(l), bits(r), "{}: PRR bits of {}-{}", what, l.a, l.b);
+        }
+        prop_assert_eq!(left, right, "{}: plant", what);
+        Ok(())
+    }
+
+    /// A zero, tiny, ordinary or large standard deviation (dB).
+    fn random_sigma(rng: &mut StdRng) -> f64 {
+        match rng.gen_range(0..4u32) {
+            0 => 0.0,
+            1 => rng.gen_range(1e-9..1e-3),
+            2 => rng.gen_range(0.5..4.0),
+            _ => rng.gen_range(10.0..40.0),
+        }
+    }
+
+    /// A campus of up to 360 nodes: 1–3 × 1–3 buildings of 1–5 floors,
+    /// with each shadowing, asymmetry and channel-offset σ drawn by
+    /// [`random_sigma`].
+    fn random_config(rng: &mut StdRng) -> PlantConfig {
+        PlantConfig {
+            name: "equivalence".to_string(),
+            buildings_x: rng.gen_range(1..=3),
+            buildings_y: rng.gen_range(1..=3),
+            floors: rng.gen_range(1..=5),
+            nodes_per_floor: rng.gen_range(1..=8),
+            building_width_m: 40.0,
+            building_depth_m: 20.0,
+            street_gap_m: rng.gen_range(0.0..30.0),
+            model: PropagationModel {
+                pair_shadowing_sigma_db: random_sigma(rng),
+                channel_shadowing_sigma_db: random_sigma(rng),
+                asymmetry_sigma_db: random_sigma(rng),
+                ..PropagationModel::default()
+            },
+            channel_offset_sigma_db: random_sigma(rng),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Pruned plants are the oracle's plants, bit for bit: candidates
+        /// built at one worker against the unpruned brute-force oracle, and
+        /// at two and three workers against one.
+        #[test]
+        fn pruned_plants_match_the_unpruned_oracle(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let config = random_config(&mut rng);
+            let seed = rng.gen();
+            let oracle = candidate(&config, seed, oracle_links);
+            let at = |jobs| candidate(&config, seed, |p, pos, c| generate_links(p, pos, c, jobs));
+            let sequential = at(1);
+            assert_same_plant(&oracle, &sequential, "jobs 1 vs oracle")?;
+            for jobs in [2, 3] {
+                assert_same_plant(&sequential, &at(jobs), &format!("jobs {jobs} vs jobs 1"))?;
+            }
+        }
     }
 }
