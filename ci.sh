@@ -42,6 +42,7 @@ echo "==> validator equivalence suite runs in the default pass"
 validate_list="$(cargo test -q -p wsan-core --lib -- --list)"
 echo "$validate_list" | grep -q "linear_check_matches_the_oracle"
 echo "$validate_list" | grep -q "stitched_validator_matches_the_exact_hop_oracle"
+echo "$validate_list" | grep -q "validator_rejects_a_forged_close_reuse_after_a_plan"
 
 echo "==> plant pruning equivalence suite and golden plants run in the default pass"
 plant_list="$(cargo test -q -p wsan-net --lib -- --list)"
@@ -50,9 +51,21 @@ golden_plant_list="$(cargo test -q -p wsan-net --test golden_plants -- --list)"
 echo "$golden_plant_list" | grep -q "multi_floor_plant_matches_its_pin"
 echo "$golden_plant_list" | grep -q "city_plant_matches_its_pin"
 
+echo "==> plant graph memo suite runs in the default pass"
+echo "$plant_list" | grep -q "graph_memo_answers_every_key_like_a_fresh_build"
+echo "$plant_list" | grep -q "graph_memo_hit_is_the_same_arc"
+echo "$plant_list" | grep -q "plant_equality_ignores_the_graph_memo"
+echo "$plant_list" | grep -q "graph_memo_agrees_across_pool_workers"
+
 echo "==> shard routing-graph equivalence suite runs in the default pass"
 shard_list="$(cargo test -q --test scale_sharding -- --list)"
 echo "$shard_list" | grep -q "induced_comm_graph_matches_link_scan"
+
+echo "==> adversarial shard configs and traced shard spans run in the default pass"
+sharded_list="$(cargo test -q -p wsan-expr --lib -- --list)"
+echo "$sharded_list" | grep -q "adversarial_shard_configs_end_in_pinned_outcomes"
+obs_det_list="$(cargo test -q --test observability_determinism -- --list)"
+echo "$obs_det_list" | grep -q "sharded_run_spans_carry_the_stage_names_and_change_nothing"
 
 echo "==> busy-slot-vs-every-slot sim equivalence suite runs in the default pass"
 eq_list="$(cargo test -q -p wsan-sim --test engine_equivalence -- --list)"

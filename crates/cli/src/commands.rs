@@ -742,13 +742,7 @@ fn cmd_shard(args: &Args) -> Result<(), String> {
     let seed: u64 = args.get_or("seed", 1)?;
     let jobs: usize = args.get_or("jobs", 0)?;
     let algo = algorithm_of(args, Algorithm::Rc { rho_t: 2 })?;
-    let reuse_floor = match algo {
-        Algorithm::Nr => None,
-        Algorithm::Ra { rho } => Some(rho),
-        Algorithm::Rc { rho_t } | Algorithm::RcLite { rho_t } | Algorithm::RcPerFlow { rho_t } => {
-            Some(rho_t)
-        }
-    };
+    let reuse_floor = algo.reuse_floor();
     // city plants get the full 2.4 GHz band unless the user narrows it:
     // the spectrum is what gets split between conflicting shards
     let channels = if args.has("channels") { channels_of(args)? } else { ChannelId::all() };

@@ -27,19 +27,25 @@
 //!    of the plan's whole-plant comm graph; its hop matrix holds *global*
 //!    distances on the plan's whole-plant reuse graph, restricted to the
 //!    shard (an induced reuse subgraph would overstate distances and
-//!    un-conservatively allow reuse). The plan builds each whole-plant
-//!    graph once per run.
+//!    un-conservatively allow reuse). The plan takes both whole-plant
+//!    graphs from the plant's memo ([`Plant::shared_comm_graph`],
+//!    [`Plant::shared_reuse_graph`]), so each is built once per plant.
 //! 4. **Stitch** ([`stitch`]): per-shard schedules are unrolled to the
 //!    common hyperperiod and placed into one whole-network
 //!    [`Schedule`], offsets translated by each shard's block base.
 //! 5. **Validate** ([`validate_stitched`]): the interference passes of
 //!    [`validate`] re-check every slot for node-level TDMA conflicts and
-//!    every shared cell against the §V-A test, on a whole-plant reuse
-//!    graph built from the plant itself (not the plan's) — proving the
-//!    stitched schedule interference-free without trusting steps 1–4.
+//!    every shared cell against the §V-A test, on the whole-plant reuse
+//!    graph of the plant itself (not the plan's) — proving the stitched
+//!    schedule interference-free without trusting steps 1–4.
+//!
+//! Each step opens a `wsan_obs` Debug span: `core.shard.plan`,
+//! `core.shard.build_problem`, `core.shard.stitch` and
+//! `core.shard.validate`.
 
 use crate::validate::{self, Violation};
 use crate::{NetworkModel, Schedule, ScheduleError, ScheduledTx, Scheduler, SchedulerConfig};
+use std::sync::Arc;
 use wsan_flow::{
     FlowError, FlowId, FlowSet, FlowSetConfig, FlowSetGenerator, PeriodRange, TrafficPattern,
 };
@@ -178,9 +184,9 @@ pub struct Shard {
 /// spectrum coloring.
 ///
 /// The plan also carries the whole-plant communication and reuse graphs
-/// it was computed on, with the channel set and `prr_t` they were built
-/// for: [`build_problem`] derives every shard's inputs from them, so each
-/// graph is built once per sharded run.
+/// it was computed on, shared with the plant's memo, with the channel set
+/// and `prr_t` they were built for: [`build_problem`] derives every
+/// shard's inputs from them. Plans compare their graphs by value.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardPlan {
     shards: Vec<Shard>,
@@ -191,8 +197,8 @@ pub struct ShardPlan {
     pub channels: usize,
     /// The reuse floor the conflict test used (`None` = NR).
     pub reuse_floor: Option<u32>,
-    comm: CommGraph,
-    reuse: ReuseGraph,
+    comm: Arc<CommGraph>,
+    reuse: Arc<ReuseGraph>,
     channel_set: ChannelSet,
     prr_t: Prr,
 }
@@ -217,6 +223,16 @@ impl ShardPlan {
     }
 }
 
+/// Opens the Debug span of one pipeline step, building its fields only
+/// when the span is enabled.
+fn step_span(
+    name: &'static str,
+    fields: impl FnOnce() -> Vec<wsan_obs::Field>,
+) -> wsan_obs::SpanGuard {
+    let enabled = wsan_obs::enabled(wsan_obs::Level::Debug);
+    wsan_obs::span(wsan_obs::Level::Debug, name, if enabled { fields() } else { Vec::new() })
+}
+
 /// Splitmix64-style mixer deriving independent sub-seeds.
 fn mix(seed: u64, salt: u64) -> u64 {
     let mut x = seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -229,7 +245,9 @@ fn mix(seed: u64, salt: u64) -> u64 {
 /// shard conflict graph into channel-offset blocks.
 ///
 /// The per-gateway Voronoi sweeps fan out over up to `jobs` workers
-/// (`0` = all cores); the plan is byte-identical for any `jobs`.
+/// (`0` = all cores); the plan is byte-identical for any `jobs`. Both
+/// whole-plant graphs come from the plant's memo, so only the first plan
+/// for a channel set and `prr_t` builds them.
 ///
 /// # Errors
 ///
@@ -242,6 +260,9 @@ pub fn plan(
     cfg: &ShardConfig,
     jobs: usize,
 ) -> Result<ShardPlan, ShardError> {
+    let _span = step_span("core.shard.plan", || {
+        vec![wsan_obs::kv("nodes", plant.node_count()), wsan_obs::kv("shards", cfg.shards)]
+    });
     let n = plant.node_count();
     if cfg.shards == 0 {
         return Err(ShardError::Config { reason: "at least one shard is required".to_string() });
@@ -251,7 +272,7 @@ pub fn plan(
             reason: format!("{} shards but only {n} nodes", cfg.shards),
         });
     }
-    let comm = plant.comm_graph(channels, cfg.prr_t);
+    let comm = plant.shared_comm_graph(channels, cfg.prr_t);
     if !comm.is_connected() {
         return Err(ShardError::Config {
             reason: "communication graph over the selected channels is disconnected".to_string(),
@@ -288,7 +309,7 @@ pub fn plan(
     // reuse floor on the whole-plant reuse graph can interfere (§V-A
     // quantified over every possible cross-shard transmission pair). The
     // plan keeps the graph for every shard's distance extraction.
-    let reuse = plant.reuse_graph(channels);
+    let reuse = plant.shared_reuse_graph(channels);
     let mut conflicts = vec![vec![false; cfg.shards]; cfg.shards];
     match cfg.reuse_floor {
         None => {
@@ -404,6 +425,7 @@ pub fn build_problem(
     index: usize,
     jobs: usize,
 ) -> Result<ShardProblem, ShardError> {
+    let _span = step_span("core.shard.build_problem", || vec![wsan_obs::kv("shard", index)]);
     let mismatch = if plant.node_count() != plan.node_count() {
         Some("plant")
     } else if *channels != plan.channel_set {
@@ -510,6 +532,7 @@ pub fn stitch(
     channels: usize,
     parts: &[ShardPart],
 ) -> Result<Schedule, ShardError> {
+    let _span = step_span("core.shard.stitch", || vec![wsan_obs::kv("parts", parts.len())]);
     if parts.is_empty() {
         return Err(ShardError::Stitch { reason: "no shard schedules".to_string() });
     }
@@ -573,6 +596,11 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
 /// against the plant itself, without trusting the partition, coloring, or
 /// stitching that produced it.
 ///
+/// The reuse graph is the plant's [`Plant::shared_reuse_graph`], never the
+/// plan's: a graph [`Plant::reuse_graph`] built for this plant and an
+/// equal channel set, so the validator trusts nothing the pipeline
+/// computed.
+///
 /// Runs the interference passes of [`validate`] — node-level TDMA
 /// conflicts per slot, then the §V-A conservative test on every shared
 /// `(slot, offset)` cell: all concurrent pairs `a, b` must satisfy
@@ -590,14 +618,14 @@ pub fn validate_stitched(
     reuse_floor: Option<u32>,
     schedule: &Schedule,
 ) -> Result<(), Vec<Violation>> {
+    let _span =
+        step_span("core.shard.validate", || vec![wsan_obs::kv("entries", schedule.entry_count())]);
     // Distances come from a BFS per distinct transmitter the §V-A pass asks
     // about, *truncated at the reuse floor*: the test only asks
     // `dist < rho`, and a rho-capped wave (distances ≥ rho saturate to rho)
     // answers it exactly while visiting only each transmitter's
-    // rho-neighborhood. No quadratic whole-plant hop matrix is needed. The
-    // graph is built from the plant here, never taken from the plan: the
-    // validator trusts nothing the pipeline computed.
-    let reuse = plant.reuse_graph(channels);
+    // rho-neighborhood. No quadratic whole-plant hop matrix is needed.
+    let reuse = plant.shared_reuse_graph(channels);
     let rho = reuse_floor.unwrap_or(0);
     let mut from: Vec<Option<Vec<u32>>> = vec![None; reuse.node_count()];
     let hops = |src: NodeId, dst: NodeId| {
@@ -718,7 +746,20 @@ mod tests {
 
     #[test]
     fn validator_rejects_a_forged_close_reuse() {
+        assert_rejects_forged_close_reuse(&test_plant());
+    }
+
+    /// The same forged schedule, validated once a plan has left the plant's
+    /// memo holding the reuse graph the validator asks for.
+    #[test]
+    fn validator_rejects_a_forged_close_reuse_after_a_plan() {
         let plant = test_plant();
+        let warmed = plan(&plant, &ChannelId::all(), &ShardConfig::new(3, 5, 4), 1).unwrap();
+        assert!(Arc::ptr_eq(&warmed.reuse, &plant.shared_reuse_graph(&ChannelId::all())));
+        assert_rejects_forged_close_reuse(&plant);
+    }
+
+    fn assert_rejects_forged_close_reuse(plant: &Plant) {
         let channels = ChannelId::all();
         // forge a schedule sharing one cell between two transmissions whose
         // endpoints are all direct reuse neighbors — §V-A distance 1 < ρ_t = 2
@@ -738,7 +779,7 @@ mod tests {
                 ScheduledTx { flow: FlowId::new(flow), job_index: 0, link, seq: 0, attempt: 0 },
             );
         }
-        let violations = validate_stitched(&plant, &channels, Some(2), &forged).unwrap_err();
+        let violations = validate_stitched(plant, &channels, Some(2), &forged).unwrap_err();
         assert!(violations
             .iter()
             .any(|v| matches!(v, Violation::ChannelConstraint { observed: 1, .. })));

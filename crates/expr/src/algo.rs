@@ -40,6 +40,18 @@ impl Algorithm {
         vec![Algorithm::Nr, Algorithm::Ra { rho: 2 }, Algorithm::Rc { rho_t: 2 }]
     }
 
+    /// The smallest hop distance at which the algorithm may let two
+    /// transmissions share a cell, or `None` if it never reuses (NR).
+    pub fn reuse_floor(&self) -> Option<u32> {
+        match *self {
+            Algorithm::Nr => None,
+            Algorithm::Ra { rho } => Some(rho),
+            Algorithm::Rc { rho_t }
+            | Algorithm::RcLite { rho_t }
+            | Algorithm::RcPerFlow { rho_t } => Some(rho_t),
+        }
+    }
+
     /// Instantiates the scheduler.
     pub fn build(&self) -> Box<dyn Scheduler + Send + Sync> {
         match *self {
@@ -84,5 +96,18 @@ mod tests {
         assert_eq!(Algorithm::Ra { rho: 2 }.build().name(), "RA");
         assert_eq!(Algorithm::Rc { rho_t: 2 }.build().name(), "RC");
         assert_eq!(Algorithm::RcPerFlow { rho_t: 2 }.build().name(), "RC");
+    }
+
+    #[test]
+    fn reuse_floor_is_the_smallest_reuse_distance() {
+        assert_eq!(Algorithm::Nr.reuse_floor(), None);
+        assert_eq!(Algorithm::Ra { rho: 3 }.reuse_floor(), Some(3));
+        for rc in [
+            Algorithm::Rc { rho_t: 4 },
+            Algorithm::RcLite { rho_t: 4 },
+            Algorithm::RcPerFlow { rho_t: 4 },
+        ] {
+            assert_eq!(rc.reuse_floor(), Some(4), "{rc}");
+        }
     }
 }

@@ -387,12 +387,7 @@ where
     let metrics = wsan_obs::metrics_enabled().then(CampaignMetrics::new);
     let (mut ckpt, mut resumed_map) = open_manifest::<I, R>(name, points, cfg, &key_index)?;
     let todo: Vec<usize> = (0..points.len()).filter(|i| !resumed_map.contains_key(i)).collect();
-    let jobs = if cfg.jobs == 0 {
-        std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
-    } else {
-        cfg.jobs
-    }
-    .min(todo.len().max(1));
+    let jobs = wsan_net::parallel::worker_count(cfg.jobs).min(todo.len().max(1));
 
     if wsan_obs::enabled(wsan_obs::Level::Info) {
         wsan_obs::event(

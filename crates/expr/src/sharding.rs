@@ -16,7 +16,7 @@ use wsan_core::shard::{
     ShardPart, ShardPlan,
 };
 use wsan_core::{Schedule, SchedulerConfig};
-use wsan_net::parallel::parallel_map_with;
+use wsan_net::parallel::{parallel_map_with, worker_count};
 use wsan_net::plants::Plant;
 use wsan_net::ChannelSet;
 
@@ -102,9 +102,12 @@ pub struct ShardedOutcome {
 ///
 /// # Errors
 ///
-/// [`ShardedError`] when any stage fails; `Invalid` in particular means
-/// the pipeline itself is buggy (the validator exists so that such a bug
-/// can never ship a schedule silently).
+/// [`ShardedError`] when any stage fails. An `algorithm` that may reuse a
+/// cell closer than `cfg.reuse_floor` (see [`Algorithm::reuse_floor`]),
+/// or at all when the floor is `None`, is refused before planning with
+/// [`ShardError::Config`]. `Invalid` means the pipeline itself is buggy
+/// (the validator exists so that such a bug can never ship a schedule
+/// silently).
 pub fn schedule_sharded(
     plant: &Plant,
     channels: &ChannelSet,
@@ -112,6 +115,7 @@ pub fn schedule_sharded(
     algorithm: &Algorithm,
     jobs: usize,
 ) -> Result<ShardedOutcome, ShardedError> {
+    check_floor(algorithm, cfg.reuse_floor)?;
     let started = Instant::now();
     let plan = plan(plant, channels, cfg, jobs)?;
     let scheduler = algorithm.build();
@@ -120,12 +124,7 @@ pub fn schedule_sharded(
     // distance extraction the workers left over so a one-shard run on a
     // big plant still uses every core without oversubscribing a
     // many-shard run.
-    let effective = if jobs == 0 {
-        std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
-    } else {
-        jobs
-    };
-    let inner_jobs = (effective / cfg.shards.max(1)).max(1);
+    let inner_jobs = (worker_count(jobs) / cfg.shards.max(1)).max(1);
     // In shard order, so the first failing shard by index is reported
     // whatever the worker count.
     let parts = parallel_map_with(cfg.shards, jobs, |shard| {
@@ -168,6 +167,25 @@ pub fn schedule_sharded(
     Ok(ShardedOutcome { schedule, plan, report })
 }
 
+/// Refuses an algorithm that may reuse a cell closer than `reuse_floor`,
+/// the floor the shard coloring and the stitched validator enforce: its
+/// schedules could only fail validation.
+fn check_floor(algorithm: &Algorithm, reuse_floor: Option<u32>) -> Result<(), ShardError> {
+    let Some(rho) = algorithm.reuse_floor() else {
+        return Ok(());
+    };
+    let reason = match reuse_floor {
+        Some(floor) if rho >= floor => return Ok(()),
+        Some(floor) => format!(
+            "{algorithm} may reuse a cell at hop distance {rho}, below the reuse floor {floor}"
+        ),
+        None => format!(
+            "{algorithm} may reuse a cell at hop distance {rho}, but the reuse floor allows none"
+        ),
+    };
+    Err(ShardError::Config { reason })
+}
+
 /// FNV-1a digest over a schedule's dimensions and entries, in placement
 /// order — equal digests ⇒ byte-identical schedules for all practical
 /// purposes (used to pin `--jobs 1` vs `--jobs N` determinism).
@@ -204,7 +222,7 @@ mod tests {
     use super::*;
     use wsan_net::plants::{generate, PlantConfig};
     use wsan_net::propagation::PropagationModel;
-    use wsan_net::ChannelId;
+    use wsan_net::{ChannelId, Prr};
 
     fn small_plant() -> Plant {
         let cfg = PlantConfig {
@@ -262,5 +280,128 @@ mod tests {
         assert_eq!(out.report.flows, 8);
         assert!(out.report.colors >= 1);
         assert_eq!(out.schedule.node_count(), plant.node_count());
+    }
+
+    /// What a sharded run must end in.
+    #[derive(Debug)]
+    enum Expect {
+        Config,
+        Channels { colors: usize, channels: usize },
+        Flows { shard: usize },
+        Schedule { shard: usize },
+        Valid { digest: u64 },
+    }
+
+    fn ends_as(result: &Result<ShardedOutcome, ShardedError>, expect: &Expect) -> bool {
+        let Err(ShardedError::Shard(error)) = result else {
+            return matches!((result, expect), (Ok(out), Expect::Valid { digest })
+                if out.report.digest == *digest);
+        };
+        match (error, expect) {
+            (ShardError::Config { .. }, Expect::Config) => true,
+            (
+                ShardError::Channels { colors, channels },
+                Expect::Channels { colors: c, channels: m },
+            ) => (colors, channels) == (c, m),
+            (ShardError::Flows { shard, .. }, Expect::Flows { shard: s })
+            | (ShardError::Schedule { shard, .. }, Expect::Schedule { shard: s }) => shard == s,
+            _ => false,
+        }
+    }
+
+    /// Adversarial configurations end in a typed error or a validated
+    /// schedule, never a panic, at one worker and at two. The digests pin
+    /// the schedules these configurations produced before algorithms were
+    /// checked against the reuse floor.
+    #[test]
+    fn adversarial_shard_configs_end_in_pinned_outcomes() {
+        let plant = generate(&PlantConfig::city("city-200", 200), 3);
+        let n = plant.node_count();
+        let (all, narrow) = (ChannelId::all(), ChannelId::range(11, 14).unwrap());
+        let one = ChannelId::range(11, 11).unwrap();
+        let rc = Algorithm::Rc { rho_t: 2 };
+        let ra = Algorithm::Ra { rho: 2 };
+        let base = |shards, flows| ShardConfig::new(shards, 1, flows);
+        let floor = |reuse_floor| ShardConfig { reuse_floor, ..ShardConfig::new(2, 0, 30) };
+        let prr = |t| ShardConfig { prr_t: Prr::new(t).unwrap(), ..base(2, 4) };
+        let cases = [
+            ("shards = nodes", &all, base(n, 1), rc, Expect::Channels { colors: 30, channels: 16 }),
+            ("0 shards", &all, base(0, 4), rc, Expect::Config),
+            ("nodes + 1 shards", &all, base(n + 1, 4), rc, Expect::Config),
+            ("one channel", &one, base(2, 4), rc, Expect::Channels { colors: 2, channels: 1 }),
+            ("prr_t 1.0", &all, prr(1.0), rc, Expect::Config),
+            (
+                "NR, 16 shards",
+                &all,
+                ShardConfig { reuse_floor: None, ..base(16, 4) },
+                Algorithm::Nr,
+                Expect::Flows { shard: 8 },
+            ),
+            ("500 flows, 2 shards", &all, base(2, 500), rc, Expect::Schedule { shard: 0 }),
+            ("1 shard", &all, base(1, 4), rc, Expect::Valid { digest: 0xd259_5b93_44c1_5ea3 }),
+            (
+                "floor Some(0)",
+                &all,
+                ShardConfig { reuse_floor: Some(0), ..base(2, 4) },
+                rc,
+                Expect::Valid { digest: 0x407f_f3b4_05c0_480f },
+            ),
+            ("prr_t 0", &all, prr(0.0), rc, Expect::Valid { digest: 0x3938_e02e_c73b_053a }),
+            // an algorithm reusing below the floor, or at all under NR
+            ("RA 2, floor 3", &narrow, floor(Some(3)), ra, Expect::Config),
+            ("RA 2, no reuse", &narrow, floor(None), ra, Expect::Config),
+            ("RC 2, floor 3", &narrow, floor(Some(3)), rc, Expect::Config),
+            // NR under any floor, and matched floors, run as before
+            (
+                "NR, floor 3",
+                &narrow,
+                floor(Some(3)),
+                Algorithm::Nr,
+                Expect::Valid { digest: 0x37dd_7b70_e08c_6bd3 },
+            ),
+            (
+                "NR, no reuse",
+                &narrow,
+                floor(None),
+                Algorithm::Nr,
+                Expect::Valid { digest: 0x37dd_7b70_e08c_6bd3 },
+            ),
+            (
+                "RA 2, floor 2",
+                &narrow,
+                floor(Some(2)),
+                ra,
+                Expect::Valid { digest: 0x15fc_671e_d647_8a7f },
+            ),
+        ];
+        for (name, channels, cfg, algo, expect) in &cases {
+            for jobs in [1, 2] {
+                let result = schedule_sharded(&plant, channels, cfg, algo, jobs);
+                assert!(
+                    ends_as(&result, expect),
+                    "{name}, jobs {jobs}: expected {expect:?}, got {:?}",
+                    result.map(|out| out.report)
+                );
+            }
+        }
+    }
+
+    /// An algorithm at or above the floor is accepted, and the refusal
+    /// names the algorithm and both distances.
+    #[test]
+    fn floor_check_accepts_stricter_algorithms_and_explains_refusals() {
+        assert!(check_floor(&Algorithm::Rc { rho_t: 3 }, Some(2)).is_ok());
+        assert!(check_floor(&Algorithm::Nr, Some(5)).is_ok());
+        assert!(check_floor(&Algorithm::Nr, None).is_ok());
+        let err = check_floor(&Algorithm::RcLite { rho_t: 2 }, Some(3)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "shard configuration invalid: RC-lite may reuse a cell at hop distance 2, below the \
+             reuse floor 3"
+        );
+        assert!(matches!(
+            check_floor(&Algorithm::Ra { rho: 4 }, None),
+            Err(ShardError::Config { .. })
+        ));
     }
 }

@@ -5,7 +5,7 @@
 //! layer's multi-source BFS builders, the sharded scheduler's per-shard
 //! fan-out, and `wsan_expr`'s schedulability sweeps (100 independent flow
 //! sets per configuration point). The campaign engine's own worker pool
-//! reuses [`payload_message`].
+//! reuses [`payload_message`] and [`worker_count`].
 
 /// Applies `f` to `0..n` across up to `available_parallelism` threads and
 /// returns the results in index order.
@@ -99,7 +99,7 @@ where
 
 /// The pool size `workers` asks for: itself, or `available_parallelism`
 /// for `0`.
-pub(crate) fn worker_count(workers: usize) -> usize {
+pub fn worker_count(workers: usize) -> usize {
     if workers == 0 {
         std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
     } else {

@@ -19,6 +19,7 @@ use crate::propagation::PropagationModel;
 use crate::{ChannelSet, CommGraph, NetError, NodeId, Position, Prr, ReuseGraph};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Layout and scale of a generated plant: a grid of identical multi-floor
 /// buildings separated by streets.
@@ -126,6 +127,65 @@ pub struct Plant {
     /// Per-node neighbor list: `(other endpoint, index into links)`.
     adjacency: Vec<Vec<(NodeId, u32)>>,
     cutoff_m: f64,
+    graphs: GraphMemo,
+}
+
+/// The last whole-plant graph of each kind that [`Plant::shared_comm_graph`]
+/// and [`Plant::shared_reuse_graph`] built, keyed by the exact inputs it was
+/// built for (DESIGN.md §15).
+///
+/// Transparent, as the graphs' cached diameter is: equal plants compare
+/// equal whatever their memos hold, `Debug` prints no graph, and a clone
+/// starts cold. Sound because a plant never changes after generation.
+#[derive(Default)]
+struct GraphMemo {
+    comm: MemoSlot<(ChannelSet, Prr), CommGraph>,
+    reuse: MemoSlot<ChannelSet, ReuseGraph>,
+}
+
+impl PartialEq for GraphMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Clone for GraphMemo {
+    fn clone(&self) -> Self {
+        GraphMemo::default()
+    }
+}
+
+impl std::fmt::Debug for GraphMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("GraphMemo").finish_non_exhaustive()
+    }
+}
+
+/// One memo slot: the last value built, with the key it was built for.
+struct MemoSlot<K, V>(Mutex<Option<(K, Arc<V>)>>);
+
+impl<K, V> Default for MemoSlot<K, V> {
+    fn default() -> Self {
+        MemoSlot(Mutex::new(None))
+    }
+}
+
+impl<K: PartialEq, V> MemoSlot<K, V> {
+    /// The slot's value if its key equals `key`; otherwise `build()`, which
+    /// then replaces the slot.
+    ///
+    /// The lock is not held while building, and the slot is written only
+    /// with a finished `(key, value)` pair, so a lock poisoned by a panic
+    /// elsewhere still guards a consistent slot and is used as is.
+    fn get_or_build(&self, key: K, build: impl FnOnce() -> V) -> Arc<V> {
+        let lock = || self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        let hit = lock().as_ref().filter(|(k, _)| *k == key).map(|(_, v)| Arc::clone(v));
+        hit.unwrap_or_else(|| {
+            let value = Arc::new(build());
+            *lock() = Some((key, Arc::clone(&value)));
+            value
+        })
+    }
 }
 
 impl Plant {
@@ -188,7 +248,8 @@ impl Plant {
     /// Builds the communication graph over `channels` with link-selection
     /// threshold `prr_t`: an edge `uv` exists iff `PRR ≥ prr_t` in **both**
     /// directions on **every** channel (the [`Topology::comm_graph`]
-    /// rule, evaluated over the sparse link set).
+    /// rule, evaluated over the sparse link set). Every call scans every
+    /// link; [`Plant::shared_comm_graph`] keeps the last build.
     ///
     /// [`Topology::comm_graph`]: crate::Topology::comm_graph
     pub fn comm_graph(&self, channels: &ChannelSet, prr_t: Prr) -> CommGraph {
@@ -208,7 +269,9 @@ impl Plant {
 
     /// Builds the channel reuse graph over `channels`: an edge `uv` exists
     /// iff **any** channel has `PRR > 0` in **either** direction (the
-    /// [`Topology::reuse_graph`] rule over the sparse link set).
+    /// [`Topology::reuse_graph`] rule over the sparse link set). Every call
+    /// scans every link; [`Plant::shared_reuse_graph`] keeps the last
+    /// build.
     ///
     /// [`Topology::reuse_graph`]: crate::Topology::reuse_graph
     pub fn reuse_graph(&self, channels: &ChannelSet) -> ReuseGraph {
@@ -223,6 +286,22 @@ impl Plant {
             .map(|l| (l.a, l.b))
             .collect();
         ReuseGraph::from_edges(self.node_count(), &edges)
+    }
+
+    /// [`Plant::comm_graph`], built once per key: a call with the channel
+    /// set (in the same order) and `prr_t` of the last build returns that
+    /// build's `Arc`; any other call builds the graph afresh and keeps it
+    /// in place of the last one.
+    pub fn shared_comm_graph(&self, channels: &ChannelSet, prr_t: Prr) -> Arc<CommGraph> {
+        self.graphs
+            .comm
+            .get_or_build((channels.clone(), prr_t), || self.comm_graph(channels, prr_t))
+    }
+
+    /// [`Plant::reuse_graph`], built once per channel set (in the same
+    /// order), as [`Plant::shared_comm_graph`] is.
+    pub fn shared_reuse_graph(&self, channels: &ChannelSet) -> Arc<ReuseGraph> {
+        self.graphs.reuse.get_or_build(channels.clone(), || self.reuse_graph(channels))
     }
 }
 
@@ -301,7 +380,9 @@ pub fn try_generate(config: &PlantConfig, seed: u64, jobs: usize) -> Result<Plan
         let plant = candidate(config, candidate_seed, |pairs, positions, cutoff| {
             generate_links(pairs, positions, cutoff, jobs)
         });
-        if plant.comm_graph(&all, prr_t).is_connected() {
+        // through the memo, so that the accepted plant's first shard plan
+        // reuses the graph
+        if plant.shared_comm_graph(&all, prr_t).is_connected() {
             return Ok(plant);
         }
     }
@@ -363,7 +444,15 @@ fn candidate(
         adjacency[link.a.index()].push((link.b, i as u32));
         adjacency[link.b.index()].push((link.a, i as u32));
     }
-    Plant { name: config.name.clone(), positions, building_of, links, adjacency, cutoff_m: cutoff }
+    Plant {
+        name: config.name.clone(),
+        positions,
+        building_of,
+        links,
+        adjacency,
+        cutoff_m: cutoff,
+        graphs: GraphMemo::default(),
+    }
 }
 
 /// Places nodes on a jittered grid per floor per building (the
@@ -714,6 +803,88 @@ mod tests {
         let comm = plant.comm_graph(&chans, Prr::new(0.9).unwrap());
         let reuse = plant.reuse_graph(&chans);
         assert!(reuse.edge_count() > comm.edge_count());
+    }
+
+    /// The memo keys every test below asks with: all 16 channels and
+    /// channels 11–14, at `prr_t` 0.9 and 0.8.
+    fn memo_keys() -> [(ChannelSet, Prr); 4] {
+        let (all, narrow) = (ChannelId::all(), ChannelId::range(11, 14).unwrap());
+        let (strict, loose) = (Prr::new(0.9).unwrap(), Prr::new(0.8).unwrap());
+        [(all.clone(), strict), (narrow.clone(), strict), (all, loose), (narrow, loose)]
+    }
+
+    #[test]
+    fn graph_memo_answers_every_key_like_a_fresh_build() {
+        let plant = generate(&PlantConfig::city("city-100", 100), 3);
+        let keys = memo_keys();
+        // the keys must tell the graphs apart, or a memo that ignores part
+        // of its key would pass
+        let comm: Vec<CommGraph> = keys.iter().map(|(ch, t)| plant.comm_graph(ch, *t)).collect();
+        let reuse: Vec<ReuseGraph> = keys.iter().map(|(ch, _)| plant.reuse_graph(ch)).collect();
+        assert!(comm[0] != comm[1] && comm[0] != comm[2] && comm[1] != comm[3]);
+        assert_ne!(reuse[0], reuse[1]);
+        // A, B, A, B, then C and D: every ask after the first changes the
+        // key, by channel set, by threshold, or by both
+        for k in [0, 1, 0, 1, 2, 0, 3, 1, 2, 3] {
+            let (channels, prr_t) = &keys[k];
+            assert_eq!(*plant.shared_comm_graph(channels, *prr_t), comm[k], "comm key {k}");
+            assert_eq!(*plant.shared_reuse_graph(channels), reuse[k], "reuse key {k}");
+        }
+        // a reordered channel set is another key, never a hit
+        let all = plant.shared_reuse_graph(&ChannelId::all());
+        let mut order: Vec<ChannelId> = ChannelId::all().iter().collect();
+        order.reverse();
+        let reversed = plant.shared_reuse_graph(&ChannelSet::new(order));
+        assert!(!Arc::ptr_eq(&all, &reversed));
+        assert_eq!(*reversed, reuse[0]);
+    }
+
+    #[test]
+    fn graph_memo_hit_is_the_same_arc() {
+        let plant = generate(&small_config(), 3);
+        let (channels, prr_t) = &memo_keys()[1];
+        let comm = plant.shared_comm_graph(channels, *prr_t);
+        assert!(Arc::ptr_eq(&comm, &plant.shared_comm_graph(channels, *prr_t)));
+        let reuse = plant.shared_reuse_graph(channels);
+        assert!(Arc::ptr_eq(&reuse, &plant.shared_reuse_graph(channels)));
+        // each kind has its own slot: asking for one kind keeps the other
+        let other = plant.shared_reuse_graph(&ChannelId::all());
+        assert!(Arc::ptr_eq(&comm, &plant.shared_comm_graph(channels, *prr_t)));
+        assert!(Arc::ptr_eq(&other, &plant.shared_reuse_graph(&ChannelId::all())));
+    }
+
+    #[test]
+    fn plant_equality_ignores_the_graph_memo() {
+        let plant = generate(&small_config(), 5);
+        let cold = plant.clone();
+        assert_eq!(plant, cold);
+        for (channels, prr_t) in &memo_keys() {
+            plant.shared_comm_graph(channels, *prr_t);
+            plant.shared_reuse_graph(channels);
+        }
+        assert_eq!(plant, plant.clone());
+        assert_eq!(plant, cold);
+        assert!(!format!("{plant:?}").contains("CommGraph"), "Debug prints a memoized graph");
+    }
+
+    #[test]
+    fn graph_memo_agrees_across_pool_workers() {
+        let plant = generate(&small_config(), 7);
+        let keys = memo_keys();
+        // two workers ask alternately for keys 0 and 3, which differ in
+        // both channel set and threshold, so the slots keep changing
+        // hands; the barrier makes the workers ask two at a time
+        let both = std::sync::Barrier::new(2);
+        let answers = parallel_map_with(32, 2, |i| {
+            both.wait();
+            let (channels, prr_t) = &keys[if i % 2 == 0 { 0 } else { 3 }];
+            (plant.shared_comm_graph(channels, *prr_t), plant.shared_reuse_graph(channels))
+        });
+        for (i, (comm, reuse)) in answers.iter().enumerate() {
+            let (channels, prr_t) = &keys[if i % 2 == 0 { 0 } else { 3 }];
+            assert_eq!(**comm, plant.comm_graph(channels, *prr_t), "ask {i}");
+            assert_eq!(**reuse, plant.reuse_graph(channels), "ask {i}");
+        }
     }
 
     #[test]

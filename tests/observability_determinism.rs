@@ -1,13 +1,21 @@
 //! A seeded simulation run with the observability layer switched on (null
 //! subscriber installed, metrics recording) must be bit-identical to the
 //! plain uninstrumented run: instrumentation never draws from the engine
-//! RNG and never changes control flow.
+//! RNG and never changes control flow. The same holds for a traced sharded
+//! run, whose stage spans carry the benchmark's stage names.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
+use wsan::core::shard::ShardConfig;
 use wsan::core::{NetworkModel, Scheduler};
+use wsan::expr::sharding::schedule_sharded;
+use wsan::expr::Algorithm;
 use wsan::flow::{FlowSetConfig, FlowSetGenerator, PeriodRange, TrafficPattern};
+use wsan::net::plants::{generate, PlantConfig};
 use wsan::net::{testbeds, ChannelId, NodeId, Prr};
 use wsan::sim::{FaultPlan, SimConfig, Simulator};
+
+/// Held by every test here: each installs the process-global subscriber.
+static GLOBAL: Mutex<()> = Mutex::new(());
 
 /// Builds a small WUSTL workload, runs the simulator (with a fault plan so
 /// the injector paths execute too) and returns the serialized report.
@@ -33,6 +41,7 @@ fn seeded_run() -> String {
 
 #[test]
 fn null_subscriber_and_metrics_do_not_change_a_seeded_run() {
+    let _global = GLOBAL.lock().unwrap_or_else(PoisonError::into_inner);
     // baseline: observability fully off (the library default)
     wsan::obs::uninstall();
     wsan::obs::set_metrics_enabled(false);
@@ -75,4 +84,40 @@ fn null_subscriber_and_metrics_do_not_change_a_seeded_run() {
         let back: wsan::obs::FlightRecord = serde_json::from_str(&line).expect("record parses");
         assert_eq!(record, back);
     }
+}
+
+#[test]
+fn sharded_run_spans_carry_the_stage_names_and_change_nothing() {
+    let _global = GLOBAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let plant = generate(&PlantConfig::city("city-200", 200), 3);
+    let channels = ChannelId::all();
+    let cfg = ShardConfig::new(3, 11, 4);
+    let run = |plant| {
+        schedule_sharded(plant, &channels, &cfg, &Algorithm::Rc { rho_t: 2 }, 2)
+            .expect("the plant shards")
+            .report
+            .digest
+    };
+    wsan::obs::uninstall();
+    let plain = run(&plant);
+
+    let sink = wsan::obs::SharedBuffer::new();
+    wsan::obs::install(Arc::new(wsan::obs::JsonLinesSubscriber::new(
+        wsan::obs::Level::Debug,
+        sink.clone(),
+    )));
+    // a clone starts with a cold graph memo, so the traced run builds the
+    // whole-plant graphs as the plain run did
+    let traced = run(&plant.clone());
+    wsan::obs::uninstall();
+    assert_eq!(plain, traced, "tracing must not change the stitched schedule");
+
+    let log = sink.contents();
+    let entered = |name: &str| {
+        log.lines().filter(|l| l.contains("\"span_enter\"") && l.contains(name)).count()
+    };
+    assert_eq!(entered("\"core.shard.plan\""), 1, "{log}");
+    assert_eq!(entered("\"core.shard.build_problem\""), cfg.shards, "{log}");
+    assert_eq!(entered("\"core.shard.stitch\""), 1, "{log}");
+    assert_eq!(entered("\"core.shard.validate\""), 1, "{log}");
 }
