@@ -57,6 +57,12 @@ echo "$plant_list" | grep -q "graph_memo_hit_is_the_same_arc"
 echo "$plant_list" | grep -q "plant_equality_ignores_the_graph_memo"
 echo "$plant_list" | grep -q "graph_memo_agrees_across_pool_workers"
 
+echo "==> worker-pool contract suite runs in the default pass"
+echo "$plant_list" | grep -q "delivery_is_in_index_order_when_later_items_finish_first"
+echo "$plant_list" | grep -q "claimed_but_undelivered_items_never_exceed_the_window"
+echo "$plant_list" | grep -q "first_failure_stops_claims_and_the_earliest_index_wins"
+echo "$plant_list" | grep -q "panicking_sink_is_re_raised_on_the_calling_thread"
+
 echo "==> shard routing-graph equivalence suite runs in the default pass"
 shard_list="$(cargo test -q --test scale_sharding -- --list)"
 echo "$shard_list" | grep -q "induced_comm_graph_matches_link_scan"
@@ -64,6 +70,8 @@ echo "$shard_list" | grep -q "induced_comm_graph_matches_link_scan"
 echo "==> adversarial shard configs and traced shard spans run in the default pass"
 sharded_list="$(cargo test -q -p wsan-expr --lib -- --list)"
 echo "$sharded_list" | grep -q "adversarial_shard_configs_end_in_pinned_outcomes"
+echo "$sharded_list" | grep -q "truncated_manifest_line_just_reruns_that_point"
+echo "$sharded_list" | grep -q "panicking_consumer_is_re_raised_not_hung"
 obs_det_list="$(cargo test -q --test observability_determinism -- --list)"
 echo "$obs_det_list" | grep -q "sharded_run_spans_carry_the_stage_names_and_change_nothing"
 
@@ -312,6 +320,14 @@ mv "$manifest.cut" "$manifest"
 rm "$out"
 cargo run --release -q -p wsan-cli --bin wsan -- campaign --name smoke --sets 2 \
     --out "$out" --manifest "$manifest" --resume
+cmp "$out" "$camp_dir/reference.json"
+# the resume cut the torn line before checkpointing the re-run points, so
+# a second resume replays every point and runs none
+rm "$out"
+cargo run --release -q -p wsan-cli --bin wsan -- campaign --name smoke --sets 2 \
+    --out "$out" --manifest "$manifest" --resume > "$camp_dir/second.log"
+cat "$camp_dir/second.log"
+grep -q "(0 executed, 3 resumed)" "$camp_dir/second.log"
 cmp "$out" "$camp_dir/reference.json"
 rm -rf "$camp_dir"
 

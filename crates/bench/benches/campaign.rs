@@ -45,12 +45,7 @@ fn bench_campaign(c: &mut Criterion) {
             run_named(
                 "smoke",
                 &opts(),
-                &CampaignConfig {
-                    jobs: 1,
-                    manifest: Some(manifest.clone()),
-                    resume: true,
-                    ..Default::default()
-                },
+                &CampaignConfig { jobs: 1, manifest: Some(manifest.clone()), resume: true },
             )
             .expect("resumed campaign runs")
         })

@@ -90,7 +90,6 @@ fn main() -> ExitCode {
             // each point is a whole process; run them one at a time unless
             // the user explicitly asks for more
             jobs: if opts.jobs == 0 { 1 } else { opts.jobs },
-            window: 0,
             manifest: Some(manifest),
             resume: opts.resume,
         };

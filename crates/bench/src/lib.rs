@@ -138,7 +138,6 @@ impl RunOptions {
     pub fn campaign(&self, name: &str) -> wsan_expr::campaign::CampaignConfig {
         wsan_expr::campaign::CampaignConfig {
             jobs: self.jobs,
-            window: 0,
             manifest: Some(results_dir().join(format!("{name}.manifest.jsonl"))),
             resume: self.resume,
         }

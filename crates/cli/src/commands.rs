@@ -818,7 +818,6 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
         .unwrap_or_else(|| format!("results/{name}.manifest.jsonl"));
     let cfg = wsan_expr::campaign::CampaignConfig {
         jobs: args.get_or("jobs", 0)?,
-        window: 0,
         manifest: Some(manifest.into()),
         resume: args.has("resume"),
     };

@@ -28,7 +28,8 @@ use std::time::{Duration, Instant};
 use wsan_core::gateway::journal::JournalHeader;
 use wsan_core::gateway::service::GatewayService;
 use wsan_core::gateway::{GatewayConfig, GatewayState};
-use wsan_core::{NetworkModel, NoReuse, ReuseAggressively, ReuseConservatively, Scheduler};
+use wsan_core::NetworkModel;
+use wsan_expr::Algorithm;
 use wsan_net::Prr;
 
 pub(crate) fn cmd_serve(args: &Args) -> Result<(), String> {
@@ -119,17 +120,20 @@ fn build_service(args: &Args) -> Result<GatewayService, String> {
     let model = NetworkModel::new(&topo, &channels);
 
     let rho: u32 = args.get_or("rho", 2)?;
-    let (scheduler, rho_t, algo): (Box<dyn Scheduler + Send + Sync>, Option<u32>, String) =
-        match args.get("algo").unwrap_or("rc") {
-            "nr" => (Box::new(NoReuse::new()), None, "nr".to_string()),
-            "ra" => (Box::new(ReuseAggressively::new(rho)), Some(rho), format!("ra/{rho}")),
-            "rc" => (Box::new(ReuseConservatively::new(rho)), Some(rho), format!("rc/{rho}")),
-            other => return Err(format!("unknown algorithm '{other}' (nr|ra|rc)")),
-        };
+    // `algo` names the scheduler in the journal header; resuming checks it
+    let (algorithm, algo) = match args.get("algo").unwrap_or("rc") {
+        "nr" => (Algorithm::Nr, "nr".to_string()),
+        "ra" => (Algorithm::Ra { rho }, format!("ra/{rho}")),
+        "rc" => (Algorithm::Rc { rho_t: rho }, format!("rc/{rho}")),
+        other => return Err(format!("unknown algorithm '{other}' (nr|ra|rc)")),
+    };
 
-    let config =
-        GatewayConfig { rho_t, paranoid: args.has("paranoid"), ..GatewayConfig::default() };
-    let state = GatewayState::new(model, scheduler, config);
+    let config = GatewayConfig {
+        rho_t: algorithm.reuse_floor(),
+        paranoid: args.has("paranoid"),
+        ..GatewayConfig::default()
+    };
+    let state = GatewayState::new(model, algorithm.build(), config);
 
     let (lo, hi) = args.channel_range()?;
     let seed: u64 = args.get_or("seed", 1)?;

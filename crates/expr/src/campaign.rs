@@ -1,34 +1,36 @@
-//! Deterministic, resumable, work-stealing campaign engine.
+//! Deterministic, resumable campaign engine.
 //!
 //! A *campaign* is an ordered list of independent sweep points. The engine
-//! runs them across a worker pool and streams each result — in the original
-//! point order — through a caller-supplied aggregator, so the aggregate
-//! output of a parallel run is byte-identical to a sequential one:
+//! runs them on the workspace's worker pool
+//! ([`wsan_net::parallel::parallel_for_each_ordered`]) and streams each
+//! result — in the original point order — through a caller-supplied
+//! aggregator, so the aggregate output of a parallel run is byte-identical
+//! to a sequential one:
 //!
-//! * **Sharding**: workers claim points work-stealing style (an atomic
-//!   cursor), so uneven point costs balance automatically. Each point's
-//!   seeding is the caller's job — derive it from the point itself, never
-//!   from the worker that happens to run it.
-//! * **Bounded memory**: out-of-order results wait in a reorder buffer
-//!   whose size is capped by [`CampaignConfig::window`]; workers block
-//!   before claiming a point that would overflow it.
+//! * **Sharding**: workers claim points in order as they free up, so
+//!   uneven point costs balance automatically. Each point's seeding is the
+//!   caller's job — derive it from the point itself, never from the worker
+//!   that happens to run it.
+//! * **Bounded memory**: a worker claims a point only while fewer than
+//!   `max(4 × jobs, 8)` fresh results wait to be consumed.
 //! * **Checkpointing**: with a manifest path set, every finished point is
-//!   appended to a JSONL manifest (flushed per line). A later run with
-//!   [`CampaignConfig::resume`] replays those results instead of
-//!   recomputing them; a truncated trailing line (killed mid-write) is
-//!   ignored and that point simply re-runs.
-//! * **Cooperative cancellation**: the first failing point poisons the
-//!   pool; workers stop claiming, in-flight successes are still
-//!   checkpointed (so the work is not lost), and the earliest observed
-//!   failure is reported.
+//!   appended to a JSONL manifest (flushed per line) as soon as it
+//!   finishes. A later run with [`CampaignConfig::resume`] replays those
+//!   results instead of recomputing them; a torn trailing line (killed
+//!   mid-write) is cut off and that point simply re-runs.
+//! * **Cooperative cancellation**: the first failing point stops the pool;
+//!   workers stop claiming, in-flight successes are still checkpointed (so
+//!   the work is not lost), and the earliest failure is reported.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
+use std::time::Instant;
+use wsan_net::fnv::Fnv1a;
+use wsan_net::parallel::{parallel_for_each_ordered, worker_count};
 
 /// One sweep point: a unique key (the manifest identity) plus the input the
 /// runner needs.
@@ -55,10 +57,6 @@ pub struct CampaignConfig {
     /// Worker threads; `0` selects `available_parallelism`. `1` runs
     /// sequentially on the calling thread.
     pub jobs: usize,
-    /// Reorder-buffer bound in points; `0` selects `max(4 × jobs, 8)`.
-    /// Values below `jobs` are raised to `jobs` (smaller windows would
-    /// stall the pool).
-    pub window: usize,
     /// Checkpoint manifest path (`*.manifest.jsonl`). `None` disables
     /// checkpointing.
     pub manifest: Option<PathBuf>,
@@ -166,53 +164,57 @@ const MANIFEST_VERSION: u64 = 1;
 /// against a manifest whose fingerprint differs is refused: the checkpoint
 /// belongs to a different sweep.
 fn fingerprint<I>(name: &str, points: &[PointSpec<I>]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(name.as_bytes());
-    eat(b"\n");
-    for p in points {
-        eat(p.key.as_bytes());
-        eat(b"\n");
+    let mut hash = Fnv1a::new();
+    for part in std::iter::once(name).chain(points.iter().map(|p| p.key.as_str())) {
+        hash.write(part.as_bytes());
+        hash.write(b"\n");
     }
-    hash
+    hash.finish()
 }
 
 /// Open manifest handle used for appending checkpoints.
 struct Checkpointer {
     file: std::fs::File,
     path: PathBuf,
+    /// The first failed write. Nothing is written after it, and it is the
+    /// run's error.
+    failed: Option<CampaignError>,
 }
 
 impl Checkpointer {
-    /// Appends one `(key, result)` line and flushes it, so a killed process
-    /// loses at most the line being written. Returns the result so callers
-    /// can keep using it without cloning.
-    fn append<R: Serialize>(&mut self, key: &str, result: R) -> Result<R, CampaignError> {
-        let pair = (key.to_string(), result);
-        let line = serde_json::to_string(&pair).map_err(|e| CampaignError::Manifest {
+    /// Appends one `(key, result)` line unless an earlier write failed. A
+    /// failure is kept for the run's error; its message stops the pool.
+    fn checkpoint<R: Serialize>(&mut self, key: &str, result: &R) -> Result<(), String> {
+        if self.failed.is_some() {
+            return Ok(());
+        }
+        let line = serde_json::to_string(&(key, result)).map_err(|e| CampaignError::Manifest {
             path: self.path.clone(),
             message: format!("cannot serialize point '{key}': {e}"),
-        })?;
-        let (_, result) = pair;
+        });
+        line.and_then(|line| self.write_line(&line)).map_err(|e| {
+            let message = e.to_string();
+            self.failed = Some(e);
+            message
+        })
+    }
+
+    /// Writes one line and flushes it, so a killed process loses at most
+    /// the line being written.
+    fn write_line(&mut self, line: &str) -> Result<(), CampaignError> {
         let io_err = |e: std::io::Error| CampaignError::Io {
             path: self.path.clone(),
             message: e.to_string(),
         };
         self.file.write_all(line.as_bytes()).map_err(io_err)?;
         self.file.write_all(b"\n").map_err(io_err)?;
-        self.file.flush().map_err(io_err)?;
-        Ok(result)
+        self.file.flush().map_err(io_err)
     }
 }
 
-/// Parses an existing manifest into `original index → result`, matching
-/// lines by point key. Unparseable lines (a truncated tail from a killed
-/// run) and unknown or repeated keys are skipped — their points re-run.
+/// Parses a manifest's complete lines into `original index → result`,
+/// matching lines by point key. Unparseable lines and unknown or repeated
+/// keys are skipped — their points re-run.
 fn load_manifest<R: Deserialize>(
     path: &Path,
     text: &str,
@@ -259,7 +261,7 @@ fn load_manifest<R: Deserialize>(
 
 /// Prepares the manifest for this run: loads resumable results (when
 /// `resume` is set and the file exists) and opens the file for appending,
-/// writing a fresh header when starting over.
+/// cutting a torn tail, or writes a fresh header when starting over.
 fn open_manifest<I, R: Deserialize>(
     name: &str,
     points: &[PointSpec<I>],
@@ -269,50 +271,55 @@ fn open_manifest<I, R: Deserialize>(
     let Some(path) = &cfg.manifest else {
         return Ok((None, BTreeMap::new()));
     };
+    let io_err =
+        |e: std::io::Error| CampaignError::Io { path: path.clone(), message: e.to_string() };
     let fp = fingerprint(name, points);
     let mut resumed = BTreeMap::new();
-    let mut fresh = true;
+    // on resume, the length of the manifest's newline-terminated lines
+    let mut complete = None;
     if cfg.resume {
         match std::fs::read_to_string(path) {
             Ok(text) => {
-                resumed = load_manifest(path, &text, fp, key_index)?;
-                fresh = false;
+                // anything after the last newline is a torn write
+                let len = text.rfind('\n').map_or(0, |i| i + 1);
+                resumed = load_manifest(path, &text[..len], fp, key_index)?;
+                complete = Some(len as u64);
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(CampaignError::Io { path: path.clone(), message: e.to_string() }),
+            Err(e) => return Err(io_err(e)),
         }
     }
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)
-                .map_err(|e| CampaignError::Io { path: path.clone(), message: e.to_string() })?;
+            std::fs::create_dir_all(parent).map_err(io_err)?;
         }
     }
     let file = std::fs::OpenOptions::new()
         .create(true)
-        .append(!fresh)
+        .append(complete.is_some())
         .write(true)
-        .truncate(fresh)
+        .truncate(complete.is_none())
         .open(path)
-        .map_err(|e| CampaignError::Io { path: path.clone(), message: e.to_string() })?;
-    let mut ckpt = Checkpointer { file, path: path.clone() };
-    if fresh {
-        let header = ManifestHeader {
-            format: MANIFEST_FORMAT.to_string(),
-            version: MANIFEST_VERSION,
-            campaign: name.to_string(),
-            fingerprint: fp,
-            points: points.len() as u64,
-        };
-        let line = serde_json::to_string(&header).map_err(|e| CampaignError::Manifest {
-            path: ckpt.path.clone(),
-            message: e.to_string(),
-        })?;
-        let io_err =
-            |e: std::io::Error| CampaignError::Io { path: path.clone(), message: e.to_string() };
-        ckpt.file.write_all(line.as_bytes()).map_err(io_err)?;
-        ckpt.file.write_all(b"\n").map_err(io_err)?;
-        ckpt.file.flush().map_err(io_err)?;
+        .map_err(io_err)?;
+    let mut ckpt = Checkpointer { file, path: path.clone(), failed: None };
+    match complete {
+        // the next checkpoint must start a line of its own, not finish the
+        // torn one
+        Some(len) => ckpt.file.set_len(len).map_err(io_err)?,
+        None => {
+            let header = ManifestHeader {
+                format: MANIFEST_FORMAT.to_string(),
+                version: MANIFEST_VERSION,
+                campaign: name.to_string(),
+                fingerprint: fp,
+                points: points.len() as u64,
+            };
+            let line = serde_json::to_string(&header).map_err(|e| CampaignError::Manifest {
+                path: path.clone(),
+                message: e.to_string(),
+            })?;
+            ckpt.write_line(&line)?;
+        }
     }
     Ok((Some(ckpt), resumed))
 }
@@ -339,31 +346,25 @@ impl CampaignMetrics {
     }
 }
 
-/// Runs `run_point` once, converting a panic into an `Err` so one exploding
-/// sweep point cancels the campaign instead of aborting the process.
-fn run_caught<I, R, F>(run_point: &F, point: &PointSpec<I>) -> Result<R, String>
-where
-    F: Fn(&PointSpec<I>) -> Result<R, String>,
-{
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_point(point))) {
-        Ok(result) => result,
-        Err(payload) => Err(wsan_net::parallel::payload_message(payload.as_ref())),
-    }
-}
-
 /// Runs a campaign: executes every point of `points` not already
-/// checkpointed, streaming results through `consume` in the original point
-/// order (resumed results included), and returns what was done.
+/// checkpointed, on `cfg.jobs` workers, streaming results through `consume`
+/// in the original point order (resumed results included), and returns
+/// what was done.
 ///
-/// `consume` sees exactly the same sequence regardless of `cfg.jobs`, so
-/// any aggregate built from it is bit-identical between sequential,
-/// parallel, and resumed runs.
+/// `consume` runs on the calling thread and sees exactly the same sequence
+/// regardless of `cfg.jobs`, so any aggregate built from it is
+/// bit-identical between sequential, parallel, and resumed runs.
 ///
 /// # Errors
 ///
-/// [`CampaignError::Point`] carries the earliest failing point observed
-/// before the pool drained; manifest problems surface as
-/// [`CampaignError::Io`] / [`CampaignError::Manifest`].
+/// [`CampaignError::Point`] carries the earliest failing point (a panic
+/// counts, with its message); manifest problems surface as
+/// [`CampaignError::Io`] / [`CampaignError::Manifest`], and a failed
+/// checkpoint write takes priority over a failed point.
+///
+/// # Panics
+///
+/// A panic in `consume` stops the workers and is re-raised.
 pub fn run<I, R, F, A>(
     name: &str,
     points: &[PointSpec<I>],
@@ -385,9 +386,9 @@ where
         }
     }
     let metrics = wsan_obs::metrics_enabled().then(CampaignMetrics::new);
-    let (mut ckpt, mut resumed_map) = open_manifest::<I, R>(name, points, cfg, &key_index)?;
+    let (ckpt, resumed_map) = open_manifest::<I, R>(name, points, cfg, &key_index)?;
     let todo: Vec<usize> = (0..points.len()).filter(|i| !resumed_map.contains_key(i)).collect();
-    let jobs = wsan_net::parallel::worker_count(cfg.jobs).min(todo.len().max(1));
+    let jobs = worker_count(cfg.jobs).min(todo.len().max(1));
 
     if wsan_obs::enabled(wsan_obs::Level::Info) {
         wsan_obs::event(
@@ -403,197 +404,74 @@ where
         );
     }
 
-    let mut executed = 0usize;
-    let mut resumed_count = 0usize;
-
-    if jobs <= 1 || todo.len() <= 1 {
-        for (idx, point) in points.iter().enumerate() {
-            if let Some(result) = resumed_map.remove(&idx) {
-                resumed_count += 1;
-                consume(point, result);
-                continue;
-            }
-            let result = run_caught(&run_point, point)
-                .map_err(|message| CampaignError::Point { key: point.key.clone(), message })?;
-            let result = match &mut ckpt {
-                Some(c) => c.append(&point.key, result)?,
-                None => result,
-            };
-            executed += 1;
-            consume(point, result);
+    // a panic under this lock can only come from serializing a result,
+    // before any byte of its line is written
+    let ckpt = ckpt.map(Mutex::new);
+    let (claimed, executed) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    // runs on a worker; checkpoints in completion order, even after another
+    // point failed, so finished work stays saved
+    let run_fresh = |pos: usize| -> Result<R, String> {
+        let point = &points[todo[pos]];
+        claimed.fetch_add(1, Ordering::Relaxed);
+        let result = run_point(point)?;
+        if let Some(ckpt) = &ckpt {
+            ckpt.lock().unwrap_or_else(PoisonError::into_inner).checkpoint(&point.key, &result)?;
         }
-        finish_metrics(metrics.as_ref(), executed, resumed_count, started);
-        return Ok(CampaignSummary { total: points.len(), executed, resumed: resumed_count });
+        executed.fetch_add(1, Ordering::Relaxed);
+        Ok(result)
+    };
+    // runs on this thread: replays the resumed points before `end`, then
+    // consumes the fresh result at `end`
+    let mut resumed = resumed_map.into_iter().peekable();
+    let (mut replayed, mut consumed) = (0usize, 0usize);
+    let mut deliver = |end: usize, fresh: Option<R>| {
+        while let Some((idx, result)) = resumed.next_if(|(idx, _)| *idx < end) {
+            replayed += 1;
+            consume(&points[idx], result);
+        }
+        if let Some(result) = fresh {
+            consume(&points[end], result);
+            consumed += 1;
+            if let Some(m) = &metrics {
+                let done = executed.load(Ordering::Relaxed);
+                m.in_flight.set(claimed.load(Ordering::Relaxed).saturating_sub(done) as f64);
+                m.checkpoint_lag.set((done - consumed) as f64);
+            }
+        }
+    };
+    let window = (jobs * 4).max(8);
+    let outcome = parallel_for_each_ordered(todo.len(), jobs, window, run_fresh, |pos, result| {
+        deliver(todo[pos], Some(result))
+    });
+    if outcome.is_ok() {
+        deliver(points.len(), None);
     }
 
-    let window = if cfg.window == 0 { (jobs * 4).max(8) } else { cfg.window.max(jobs) };
-    let pos_of: BTreeMap<usize, usize> = todo.iter().enumerate().map(|(p, &i)| (i, p)).collect();
-    let next = AtomicUsize::new(0);
-    let poisoned = AtomicBool::new(false);
-    // number of fresh (non-resumed) results consumed in order; workers wait
-    // on it before claiming a position beyond the reorder window
-    let gate: (Mutex<usize>, Condvar) = (Mutex::new(0), Condvar::new());
-    let (sender, receiver) = mpsc::channel::<(usize, Result<R, String>)>();
-
-    let mut failure: Option<(usize, String)> = None;
-    let mut ckpt_error: Option<CampaignError> = None;
-
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            let sender = sender.clone();
-            let next = &next;
-            let poisoned = &poisoned;
-            let gate = &gate;
-            let todo = &todo;
-            let run_point = &run_point;
-            scope.spawn(move || {
-                loop {
-                    if poisoned.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let pos = next.fetch_add(1, Ordering::Relaxed);
-                    if pos >= todo.len() {
-                        break;
-                    }
-                    {
-                        let (lock, cv) = gate;
-                        let mut consumed = lock.lock().unwrap_or_else(|e| e.into_inner());
-                        while pos >= *consumed + window && !poisoned.load(Ordering::Relaxed) {
-                            // the timeout is a safety net for the poison
-                            // wakeup; normal progress comes from notify_all
-                            let (guard, _) = cv
-                                .wait_timeout(consumed, Duration::from_millis(50))
-                                .unwrap_or_else(|e| e.into_inner());
-                            consumed = guard;
-                        }
-                    }
-                    if poisoned.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let result = run_caught(run_point, &points[todo[pos]]);
-                    if result.is_err() {
-                        poisoned.store(true, Ordering::Relaxed);
-                        gate.1.notify_all();
-                    }
-                    if sender.send((pos, result)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(sender);
-
-        // the aggregator runs on the calling thread: consume any leading
-        // resumed points, then fold in fresh results as they arrive
-        let mut buffer: BTreeMap<usize, R> = BTreeMap::new();
-        let mut orig_next = 0usize;
-        let mut fresh_consumed = 0usize;
-        let advance_ready = |orig_next: &mut usize,
-                             fresh_consumed: &mut usize,
-                             buffer: &mut BTreeMap<usize, R>,
-                             resumed_map: &mut BTreeMap<usize, R>,
-                             consume: &mut A,
-                             resumed_count: &mut usize| {
-            while *orig_next < points.len() {
-                if let Some(result) = resumed_map.remove(orig_next) {
-                    *resumed_count += 1;
-                    consume(&points[*orig_next], result);
-                    *orig_next += 1;
-                    continue;
-                }
-                let pos = pos_of[orig_next];
-                let Some(result) = buffer.remove(&pos) else {
-                    break;
-                };
-                consume(&points[*orig_next], result);
-                *orig_next += 1;
-                *fresh_consumed += 1;
-                let (lock, cv) = &gate;
-                *lock.lock().unwrap_or_else(|e| e.into_inner()) = *fresh_consumed;
-                cv.notify_all();
-            }
-        };
-        advance_ready(
-            &mut orig_next,
-            &mut fresh_consumed,
-            &mut buffer,
-            &mut resumed_map,
-            &mut consume,
-            &mut resumed_count,
-        );
-        for (pos, result) in receiver.iter() {
-            match result {
-                Ok(result) => {
-                    // checkpoint immediately — even out of order, and even
-                    // after a failure elsewhere: finished work stays saved
-                    let result = match &mut ckpt {
-                        Some(c) if ckpt_error.is_none() => {
-                            match c.append(&points[todo[pos]].key, result) {
-                                Ok(result) => result,
-                                Err(e) => {
-                                    ckpt_error = Some(e);
-                                    poisoned.store(true, Ordering::Relaxed);
-                                    gate.1.notify_all();
-                                    continue;
-                                }
-                            }
-                        }
-                        _ => result,
-                    };
-                    executed += 1;
-                    buffer.insert(pos, result);
-                }
-                Err(message) => {
-                    if failure.as_ref().is_none_or(|(p, _)| pos < *p) {
-                        failure = Some((pos, message));
-                    }
-                }
-            }
-            advance_ready(
-                &mut orig_next,
-                &mut fresh_consumed,
-                &mut buffer,
-                &mut resumed_map,
-                &mut consume,
-                &mut resumed_count,
-            );
-            if let Some(m) = &metrics {
-                let claimed = next.load(Ordering::Relaxed).min(todo.len());
-                m.in_flight.set(claimed.saturating_sub(executed) as f64);
-                m.checkpoint_lag.set(buffer.len() as f64);
-            }
-        }
-    });
-
-    finish_metrics(metrics.as_ref(), executed, resumed_count, started);
-    if let Some(e) = ckpt_error {
+    let executed = executed.into_inner();
+    if let Some(m) = &metrics {
+        m.executed.add(executed as u64);
+        m.resumed.add(replayed as u64);
+        m.in_flight.set(0.0);
+        m.checkpoint_lag.set(0.0);
+        let secs = started.elapsed().as_secs_f64();
+        m.points_per_sec.set(if secs > 0.0 { executed as f64 / secs } else { 0.0 });
+    }
+    if let Some(e) =
+        ckpt.and_then(|c| c.into_inner().unwrap_or_else(PoisonError::into_inner).failed)
+    {
         return Err(e);
     }
-    if let Some((pos, message)) = failure {
-        return Err(CampaignError::Point { key: points[todo[pos]].key.clone(), message });
-    }
-    Ok(CampaignSummary { total: points.len(), executed, resumed: resumed_count })
-}
-
-/// Final metric updates of a campaign run.
-fn finish_metrics(
-    metrics: Option<&CampaignMetrics>,
-    executed: usize,
-    resumed: usize,
-    started: Instant,
-) {
-    let Some(m) = metrics else { return };
-    m.executed.add(executed as u64);
-    m.resumed.add(resumed as u64);
-    m.in_flight.set(0.0);
-    m.checkpoint_lag.set(0.0);
-    let secs = started.elapsed().as_secs_f64();
-    m.points_per_sec.set(if secs > 0.0 { executed as f64 / secs } else { 0.0 });
+    outcome.map_err(|(pos, message)| CampaignError::Point {
+        key: points[todo[pos]].key.clone(),
+        message,
+    })?;
+    Ok(CampaignSummary { total: points.len(), executed, resumed: replayed })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn specs(n: usize) -> Vec<PointSpec<u64>> {
         (0..n).map(|i| PointSpec::new(format!("p{i}"), i as u64)).collect()
@@ -615,7 +493,7 @@ mod tests {
     #[test]
     fn sequential_and_parallel_agree() {
         let (seq, s1) = collect(&CampaignConfig { jobs: 1, ..Default::default() }, 25);
-        let (par, s2) = collect(&CampaignConfig { jobs: 4, window: 4, ..Default::default() }, 25);
+        let (par, s2) = collect(&CampaignConfig { jobs: 4, ..Default::default() }, 25);
         assert_eq!(seq, par);
         assert_eq!(s1.executed, 25);
         assert_eq!(s2.executed, 25);
@@ -637,7 +515,7 @@ mod tests {
         let err = run(
             "fails",
             &points,
-            &CampaignConfig { jobs: 4, window: 4, ..Default::default() },
+            &CampaignConfig { jobs: 4, ..Default::default() },
             |p| {
                 ran.fetch_add(1, Ordering::SeqCst);
                 if p.input == 0 {
@@ -743,6 +621,41 @@ mod tests {
         assert_eq!(summary.resumed, 5);
         assert_eq!(summary.executed, 1);
         assert_eq!(out, full);
+        // the re-run point's checkpoint replaced the torn line instead of
+        // being glued onto it, so a second resume replays every point
+        let mut again = Vec::new();
+        let summary = run(
+            "squares",
+            &specs(6),
+            &cfg2,
+            |_| -> Result<u64, String> { Err("must not re-run".into()) },
+            |p, r| again.push((p.key.clone(), r)),
+        )
+        .unwrap();
+        assert_eq!((summary.executed, summary.resumed), (0, 6));
+        assert_eq!(again, full);
+        assert_eq!(std::fs::read_to_string(&manifest).unwrap().lines().count(), 7);
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn panicking_consumer_is_re_raised_not_hung() {
+        // Run from a spawned thread so that a hang fails this test instead
+        // of the suite.
+        let (done, outcome) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let raised = std::panic::catch_unwind(|| {
+                let cfg = CampaignConfig { jobs: 2, ..Default::default() };
+                run("consumer-panics", &specs(40), &cfg, square, |_, _: u64| {
+                    panic!("consumer exploded")
+                })
+            });
+            let _ = done.send(raised.is_err());
+        });
+        assert_eq!(
+            outcome.recv_timeout(Duration::from_secs(10)),
+            Ok(true),
+            "the consumer's panic must be re-raised within 10 s"
+        );
     }
 }

@@ -6,7 +6,7 @@ use crate::Algorithm;
 use wsan_core::metrics::{compute, ScheduleMetrics};
 use wsan_core::NetworkModel;
 use wsan_flow::{FlowSetConfig, FlowSetGenerator};
-use wsan_net::parallel::parallel_map;
+use wsan_net::parallel::parallel_map_with;
 use wsan_net::{ChannelId, Prr, Topology};
 
 /// Aggregated efficiency metrics of one algorithm at one channel count.
@@ -37,7 +37,7 @@ pub fn evaluate(
     let comm = topology.comm_graph(&channels, Prr::new(cfg.prr_threshold).expect("valid PRR"));
     let model = NetworkModel::new(topology, &channels);
     let fsc = FlowSetConfig::new(cfg.flow_count, cfg.periods, cfg.pattern);
-    let per_set: Vec<Vec<Option<ScheduleMetrics>>> = parallel_map(cfg.flow_sets, |i| {
+    let per_set: Vec<Vec<Option<ScheduleMetrics>>> = parallel_map_with(cfg.flow_sets, 0, |i| {
         let mut generator = FlowSetGenerator::new(set_seed(cfg.seed, i));
         match generator.generate(&comm, &fsc) {
             Ok(set) => algorithms

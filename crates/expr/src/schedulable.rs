@@ -10,7 +10,7 @@ use crate::Algorithm;
 use serde::{Deserialize, Serialize};
 use wsan_core::NetworkModel;
 use wsan_flow::{FlowSetConfig, FlowSetGenerator, PeriodRange, TrafficPattern};
-use wsan_net::parallel::parallel_map;
+use wsan_net::parallel::parallel_map_with;
 use wsan_net::{ChannelId, Prr, Topology};
 
 /// Workload parameters of a schedulability experiment.
@@ -69,7 +69,7 @@ pub fn ratio_at(
     let comm = topology.comm_graph(&channels, Prr::new(cfg.prr_threshold).expect("valid PRR"));
     let model = NetworkModel::new(topology, &channels);
     let fsc = FlowSetConfig::new(cfg.flow_count, cfg.periods, cfg.pattern);
-    let outcomes: Vec<Vec<bool>> = parallel_map(cfg.flow_sets, |i| {
+    let outcomes: Vec<Vec<bool>> = parallel_map_with(cfg.flow_sets, 0, |i| {
         let mut generator = FlowSetGenerator::new(set_seed(cfg.seed, i));
         match generator.generate(&comm, &fsc) {
             Ok(set) => {

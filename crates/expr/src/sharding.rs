@@ -16,6 +16,7 @@ use wsan_core::shard::{
     ShardPart, ShardPlan,
 };
 use wsan_core::{Schedule, SchedulerConfig};
+use wsan_net::fnv::Fnv1a;
 use wsan_net::parallel::{parallel_map_with, worker_count};
 use wsan_net::plants::Plant;
 use wsan_net::ChannelSet;
@@ -190,13 +191,8 @@ fn check_floor(algorithm: &Algorithm, reuse_floor: Option<u32>) -> Result<(), Sh
 /// order — equal digests ⇒ byte-identical schedules for all practical
 /// purposes (used to pin `--jobs 1` vs `--jobs N` determinism).
 pub fn schedule_digest(schedule: &Schedule) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = Fnv1a::new();
+    let mut eat = |v: u64| h.write(&v.to_le_bytes());
     eat(u64::from(schedule.horizon()));
     eat(schedule.channel_count() as u64);
     eat(schedule.node_count() as u64);
@@ -210,7 +206,7 @@ pub fn schedule_digest(schedule: &Schedule) -> u64 {
         eat(u64::from(entry.tx.seq));
         eat(u64::from(entry.tx.attempt));
     }
-    h
+    h.finish()
 }
 
 fn elapsed_ns(from: Instant) -> u64 {

@@ -21,11 +21,9 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 fn parallel_aggregate_json_is_byte_identical_to_sequential() {
     let sequential =
         run_named("smoke", &opts(), &CampaignConfig { jobs: 1, ..Default::default() }).unwrap();
-    // jobs and window pinned explicitly: the host may have a single core,
-    // and a tiny window exercises the reorder gate
+    // jobs pinned explicitly: the host may have a single core
     let parallel =
-        run_named("smoke", &opts(), &CampaignConfig { jobs: 4, window: 4, ..Default::default() })
-            .unwrap();
+        run_named("smoke", &opts(), &CampaignConfig { jobs: 4, ..Default::default() }).unwrap();
     assert_eq!(sequential.json, parallel.json, "parallel aggregate diverged from sequential");
     assert_eq!(sequential.summary.executed, 3);
     assert_eq!(parallel.summary.executed, 3);
@@ -58,7 +56,7 @@ fn interrupted_campaign_resumes_to_the_uninterrupted_aggregate() {
     let resumed = run_named(
         "smoke",
         &opts(),
-        &CampaignConfig { jobs: 1, manifest: Some(manifest), resume: true, ..Default::default() },
+        &CampaignConfig { jobs: 1, manifest: Some(manifest), resume: true },
     )
     .unwrap();
     assert_eq!(
@@ -83,7 +81,7 @@ fn resume_of_a_complete_manifest_executes_nothing() {
     let resumed = run_named(
         "smoke",
         &opts(),
-        &CampaignConfig { jobs: 2, manifest: Some(manifest), resume: true, ..Default::default() },
+        &CampaignConfig { jobs: 2, manifest: Some(manifest), resume: true },
     )
     .unwrap();
     assert_eq!(resumed.summary.executed, 0);

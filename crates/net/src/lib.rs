@@ -42,6 +42,7 @@
 
 mod channel;
 mod error;
+pub mod fnv;
 mod graph;
 mod link;
 mod node;

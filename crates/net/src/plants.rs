@@ -14,7 +14,7 @@
 //! enumeration order and identical across runs and worker counts.
 
 use crate::channel::BAND_SIZE;
-use crate::parallel::parallel_map_with;
+use crate::parallel::parallel_for_each_ordered;
 use crate::propagation::PropagationModel;
 use crate::{ChannelSet, CommGraph, NetError, NodeId, Position, Prr, ReuseGraph};
 use rand::rngs::StdRng;
@@ -354,7 +354,7 @@ const NODE_ID_SPACE: usize = u16::MAX as usize + 1;
 
 /// Generates a validated plant from a configuration and seed, evaluating
 /// node pairs on `jobs` workers (`0` selects every core, as
-/// [`parallel_map`](crate::parallel::parallel_map) does).
+/// [`worker_count`](crate::parallel::worker_count) resolves it).
 ///
 /// Determinism: the same `(config, seed)` always yields the same plant,
 /// whatever `jobs` is. If a candidate's communication graph (all 16
@@ -502,17 +502,18 @@ fn place_nodes(config: &PlantConfig, rng: &mut StdRng) -> (Vec<Position>, Vec<u3
 
 /// Nodes per block of the pair loop's fan-out.
 const BLOCK_NODES: usize = 16;
-/// Blocks each worker evaluates per round. A round's links wait in memory
-/// until the round is appended, so a round stays small next to the plant.
+/// Blocks per worker in the pool's window. A finished block waits in
+/// memory until every earlier block is appended, so the window stays small
+/// next to the plant.
 const BLOCKS_PER_WORKER: usize = 4;
 
 /// Evaluates every pair within `cutoff` through the propagation model,
 /// keeping the links with a nonzero PRR somewhere, in `(a, b)` order.
 ///
 /// The lower endpoints are cut into blocks of [`BLOCK_NODES`] nodes that
-/// fan out over `jobs` workers in rounds of [`BLOCKS_PER_WORKER`] blocks
-/// per worker; each round is appended in block order and dropped before
-/// the next one starts. A block lists each node's links by ascending upper
+/// fan out over `jobs` workers through a window of [`BLOCKS_PER_WORKER`]
+/// blocks per worker; each block is appended as soon as every earlier one
+/// is, and dropped. A block lists each node's links by ascending upper
 /// endpoint, so the concatenation is already sorted.
 fn generate_links(
     pairs: &PairModel,
@@ -521,20 +522,21 @@ fn generate_links(
     jobs: usize,
 ) -> Vec<PlantLink> {
     let grid = NeighborGrid::new(positions, cutoff);
-    let workers = crate::parallel::worker_count(jobs);
     let blocks = positions.len().div_ceil(BLOCK_NODES);
-    let per_round = workers * BLOCKS_PER_WORKER;
+    let window = crate::parallel::worker_count(jobs) * BLOCKS_PER_WORKER;
     let mut links = Vec::new();
-    for first in (0..blocks).step_by(per_round) {
-        let round = parallel_map_with(per_round.min(blocks - first), workers, |k| {
-            let start = (first + k) * BLOCK_NODES;
+    parallel_for_each_ordered(
+        blocks,
+        jobs,
+        window,
+        |k| {
+            let start = k * BLOCK_NODES;
             let end = (start + BLOCK_NODES).min(positions.len());
-            block_links(pairs, &grid, positions, cutoff, start..end)
-        });
-        for block in round {
-            links.extend(block);
-        }
-    }
+            Ok(block_links(pairs, &grid, positions, cutoff, start..end))
+        },
+        |_, block| links.extend(block),
+    )
+    .unwrap_or_else(|(block, message)| panic!("plant block {block} panicked: {message}"));
     links
 }
 
@@ -875,7 +877,7 @@ mod tests {
         // both channel set and threshold, so the slots keep changing
         // hands; the barrier makes the workers ask two at a time
         let both = std::sync::Barrier::new(2);
-        let answers = parallel_map_with(32, 2, |i| {
+        let answers = crate::parallel::parallel_map_with(32, 2, |i| {
             both.wait();
             let (channels, prr_t) = &keys[if i % 2 == 0 { 0 } else { 3 }];
             (plant.shared_comm_graph(channels, *prr_t), plant.shared_reuse_graph(channels))

@@ -10,19 +10,15 @@
 //! `WSAN_GOLDEN_DUMP=1 cargo test -p wsan-net --test golden_plants -- --nocapture`
 //! and update the constants after reviewing the change.
 
+use wsan_net::fnv::Fnv1a;
 use wsan_net::plants::{generate, try_generate, Plant, PlantConfig};
 use wsan_net::propagation::PropagationModel;
 
 /// FNV-1a 64 over every link's `(a, b)` and the bits of its 32 PRRs, in
 /// the plant's `(a, b)` order.
 fn link_digest(plant: &Plant) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |word: u32| {
-        for b in word.to_le_bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut hash = Fnv1a::new();
+    let mut eat = |word: u32| hash.write(&word.to_le_bytes());
     for link in plant.links() {
         eat(link.a.index() as u32);
         eat(link.b.index() as u32);
@@ -30,7 +26,7 @@ fn link_digest(plant: &Plant) -> u64 {
             eat(prr.to_bits());
         }
     }
-    hash
+    hash.finish()
 }
 
 /// Checks `plant` against its pins, printing them under `WSAN_GOLDEN_DUMP`.

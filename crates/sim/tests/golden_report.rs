@@ -22,25 +22,18 @@
 use std::collections::BTreeMap;
 use wsan_core::Scheduler;
 use wsan_flow::{FlowSet, FlowSetConfig, FlowSetGenerator, PeriodRange, TrafficPattern};
+use wsan_net::fnv::Fnv1a;
 use wsan_net::{testbeds, ChannelId, ChannelSet, NodeId, Position, Prr, Topology};
 use wsan_sim::{
     FaultEvent, FaultKind, FaultPlan, FaultTrigger, SimConfig, SimReport, Simulator, WifiInterferer,
 };
 
-/// FNV-1a over the serialized report: stable, dependency-free.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// The digest of `report`'s JSON, printed under `WSAN_GOLDEN_DUMP`.
+/// The FNV-1a digest of `report`'s JSON, printed under `WSAN_GOLDEN_DUMP`.
 fn digest(label: &str, report: &SimReport) -> u64 {
     let json = serde_json::to_string(report).unwrap();
-    let digest = fnv1a(json.as_bytes());
+    let mut hash = Fnv1a::new();
+    hash.write(json.as_bytes());
+    let digest = hash.finish();
     if std::env::var("WSAN_GOLDEN_DUMP").is_ok() {
         println!("{label}: json bytes {}, digest {digest:#018x}", json.len());
     }
