@@ -44,6 +44,10 @@ echo "$validate_list" | grep -q "linear_check_matches_the_oracle"
 echo "$validate_list" | grep -q "stitched_validator_matches_the_exact_hop_oracle"
 echo "$validate_list" | grep -q "validator_rejects_a_forged_close_reuse_after_a_plan"
 
+echo "==> kept-node shard problem equivalence suite and the find_slot lemma run in the default pass"
+echo "$validate_list" | grep -q "kept_node_problems_match_the_member_table_oracle"
+echo "$validate_list" | grep -q "find_slot_above_every_pair_distance_is_the_no_reuse_answer"
+
 echo "==> plant pruning equivalence suite and golden plants run in the default pass"
 plant_list="$(cargo test -q -p wsan-net --lib -- --list)"
 echo "$plant_list" | grep -q "pruned_plants_match_the_unpruned_oracle"

@@ -134,6 +134,9 @@ pub fn find_slot(
 mod tests {
     use super::*;
     use crate::ScheduledTx;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use wsan_flow::FlowId;
     use wsan_net::{NodeId, ReuseGraph};
 
@@ -292,5 +295,73 @@ mod tests {
         assert_eq!(find_slot(&s, &model, cand, 0, 9, Rho::NoReuse), Some((1, 0)));
         // with reuse the packed slot is still a candidate
         assert_eq!(find_slot(&s, &model, cand, 0, 9, Rho::AtLeast(3)), Some((0, 0)));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Above every hop distance among the nodes a schedule holds and the
+        /// link's endpoints, the channel constraint rejects every occupied
+        /// cell, so `find_slot` at `Rho::AtLeast(h)` returns its
+        /// `Rho::NoReuse` answer. Nodes the schedule never uses may lie
+        /// farther apart. This is why a shard problem may take `λ_R` over
+        /// the nodes its flows name only (DESIGN.md §15).
+        #[test]
+        fn find_slot_above_every_pair_distance_is_the_no_reuse_answer(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // a path with random chords; the schedule uses a prefix of it
+            let size = rng.gen_range(3..30);
+            let mut edges: Vec<_> = (0..size - 1).map(|i| (n(i), n(i + 1))).collect();
+            for _ in 0..rng.gen_range(0..size) {
+                let (a, b) = (rng.gen_range(0..size), rng.gen_range(0..size));
+                if a != b {
+                    edges.push((n(a), n(b)));
+                }
+            }
+            let model = NetworkModel::from_reuse_graph(
+                &ReuseGraph::from_edges(size, &edges),
+                rng.gen_range(1..4),
+            );
+            let used = rng.gen_range(2..=size);
+            let pick_link = |rng: &mut StdRng| loop {
+                let (a, b) = (rng.gen_range(0..used), rng.gen_range(0..used));
+                if a != b {
+                    break DirectedLink::new(n(a), n(b));
+                }
+            };
+            let link = pick_link(&mut rng);
+            let horizon = rng.gen_range(1..40);
+            let mut s = Schedule::new(horizon, model.channels(), size);
+            for _ in 0..rng.gen_range(0..4 * horizon) {
+                let other = pick_link(&mut rng);
+                let slot = rng.gen_range(0..horizon);
+                // mostly leave the link's endpoints free, so that cells,
+                // not node conflicts, decide the slot
+                let touches = [other.tx, other.rx].iter().any(|&v| v == link.tx || v == link.rx);
+                let skip = touches && rng.gen_bool(0.9);
+                if !skip && !s.conflicts(slot, other.tx, other.rx) {
+                    let tx = ScheduledTx { link: other, ..stx(0, 1) };
+                    s.place(slot, rng.gen_range(0..model.channels()), tx);
+                }
+            }
+            let mut nodes = vec![link.tx, link.rx];
+            nodes.extend(s.entries().iter().flat_map(|e| [e.tx.link.tx, e.tx.link.rx]));
+            let hops = model.hops();
+            let far = nodes
+                .iter()
+                .flat_map(|&x| nodes.iter().map(move |&y| hops.hops(x, y)))
+                .max()
+                .expect("the link's endpoints");
+            let earliest = rng.gen_range(0..horizon);
+            let latest = rng.gen_range(earliest..horizon + 4);
+            let no_reuse = find_slot(&s, &model, link, earliest, latest, Rho::NoReuse);
+            for h in far + 1..=far + 3 {
+                prop_assert_eq!(
+                    find_slot(&s, &model, link, earliest, latest, Rho::AtLeast(h)),
+                    no_reuse,
+                    "seed {}, h {}", seed, h
+                );
+            }
+        }
     }
 }

@@ -90,7 +90,11 @@ pub(crate) mod test_util {
     //! Hand-crafted networks and workloads for scheduler unit tests.
 
     use crate::NetworkModel;
+    use rand::rngs::StdRng;
+    use rand::Rng;
     use wsan_flow::{priority, Flow, FlowId, FlowSet, Period};
+    use wsan_net::plants::{try_generate, Plant, PlantConfig};
+    use wsan_net::propagation::PropagationModel;
     use wsan_net::{NodeId, ReuseGraph, Route};
 
     /// A path-graph reuse topology with `node_count` nodes.
@@ -153,5 +157,33 @@ pub(crate) mod test_util {
             })
             .collect();
         (priority::deadline_monotonic(flows, vec![]), path_graph(node_count))
+    }
+
+    /// A random connected plant of at most 288 nodes: 1–3 × 1–2 buildings
+    /// of 1–2 floors with 6–24 nodes per floor, drawn again until the
+    /// generator finds one connected.
+    pub fn random_plant(rng: &mut StdRng) -> Plant {
+        loop {
+            let cfg = PlantConfig {
+                name: "random-test-plant".to_string(),
+                buildings_x: rng.gen_range(1..4),
+                buildings_y: rng.gen_range(1..3),
+                floors: rng.gen_range(1..3),
+                nodes_per_floor: rng.gen_range(6..25),
+                building_width_m: 40.0,
+                building_depth_m: 20.0,
+                street_gap_m: 12.0,
+                model: PropagationModel::default(),
+                channel_offset_sigma_db: 1.5,
+            };
+            if let Ok(plant) = try_generate(&cfg, rng.gen(), 1) {
+                return plant;
+            }
+        }
+    }
+
+    /// A reuse floor: NR's `None` or a floor of 1–3 hops.
+    pub fn random_floor(rng: &mut StdRng) -> Option<u32> {
+        [None, Some(1), Some(2), Some(3)][rng.gen_range(0..4usize)]
     }
 }

@@ -52,6 +52,13 @@ impl NetworkModel {
     /// `λ_R` is taken from [`CappedHops::diameter`], so the table should be
     /// exact (unsaturated, or saturated only beyond every finite distance
     /// of interest) for the model to match the dense path.
+    ///
+    /// The table need not cover the whole network, only every node the
+    /// flows and the schedule use. `λ_R` is then the largest distance
+    /// among those nodes, which may lie below the network's diameter
+    /// without changing a schedule (see [`lambda_r`](Self::lambda_r)).
+    /// [`crate::shard`] builds its models this way, over the nodes a
+    /// shard's flows name.
     pub fn from_capped(hops: CappedHops, node_count: usize, channels: usize) -> Self {
         let lambda_r = hops.diameter();
         NetworkModel { hops, lambda_r, channels, node_count }
@@ -65,6 +72,17 @@ impl NetworkModel {
 
     /// The reuse-graph diameter `λ_R` — the largest hop distance Algorithm 1
     /// starts from when it first introduces reuse.
+    ///
+    /// Only RC reads it, as the first `ρ` below `∞`. Any value at or above
+    /// `D`, the largest distance among the nodes the flows and the schedule
+    /// use, gives RC the same placements: at any `ρ > D` the channel
+    /// constraint rejects every occupied cell, so `find_slot` returns its
+    /// `Rho::NoReuse` answer, and RC's steps from a larger `λ_R` down to
+    /// `D + 1` re-find the slot it already holds, whose laxity it has
+    /// already computed. Only RC's `rc.rho_shrinks` counter and its
+    /// `rc.laxity_at_shrink` histogram see those steps. A model built by
+    /// [`from_capped`](Self::from_capped) over a subset of the nodes
+    /// relies on this.
     pub fn lambda_r(&self) -> u32 {
         self.lambda_r
     }

@@ -23,13 +23,14 @@
 //!    conflicts and the spectrum is split `k` ways.
 //! 3. **Per-shard scheduling** ([`build_problem`], [`schedule_shard`]):
 //!    each shard schedules its own flow set over its offset block with an
-//!    unmodified [`Scheduler`]. Its routing graph is the induced subgraph
-//!    of the plan's whole-plant comm graph; its hop matrix holds *global*
-//!    distances on the plan's whole-plant reuse graph, restricted to the
-//!    shard (an induced reuse subgraph would overstate distances and
-//!    un-conservatively allow reuse). The plan takes both whole-plant
-//!    graphs from the plant's memo ([`Plant::shared_comm_graph`],
-//!    [`Plant::shared_reuse_graph`]), so each is built once per plant.
+//!    unmodified [`Scheduler`]. Its flows are routed on the induced
+//!    subgraph of the plan's whole-plant comm graph; its hop matrix holds
+//!    *global* distances on the plan's whole-plant reuse graph, restricted
+//!    to the shard nodes the flows name (an induced reuse subgraph would
+//!    overstate distances and un-conservatively allow reuse). The plan
+//!    takes both whole-plant graphs from the plant's memo
+//!    ([`Plant::shared_comm_graph`], [`Plant::shared_reuse_graph`]), so
+//!    each is built once per plant.
 //! 4. **Stitch** ([`stitch`]): per-shard schedules are unrolled to the
 //!    common hyperperiod and placed into one whole-network
 //!    [`Schedule`], offsets translated by each shard's block base.
@@ -45,13 +46,15 @@
 
 use crate::validate::{self, Violation};
 use crate::{NetworkModel, Schedule, ScheduleError, ScheduledTx, Scheduler, SchedulerConfig};
+use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 use wsan_flow::{
-    FlowError, FlowId, FlowSet, FlowSetConfig, FlowSetGenerator, PeriodRange, TrafficPattern,
+    Flow, FlowError, FlowId, FlowSet, FlowSetConfig, FlowSetGenerator, PeriodRange, TrafficPattern,
 };
 use wsan_net::parallel::parallel_map_with;
 use wsan_net::plants::Plant;
-use wsan_net::{ChannelSet, CommGraph, NodeId, Prr, ReuseGraph};
+use wsan_net::{ChannelSet, CommGraph, NodeId, Prr, ReuseGraph, Route};
 
 /// Knobs of a sharded scheduling run.
 #[derive(Debug, Clone)]
@@ -176,7 +179,8 @@ pub struct Shard {
     /// `a, b` satisfy `d_reuse(a, b) ≤ d_comm(a, gw) + d_comm(gw, b) ≤
     /// 2 · comm_radius` (every comm edge is a reuse edge), so a capped
     /// distance extraction with `cap = 2 · comm_radius + 1` is provably
-    /// exact for every intra-shard pair (DESIGN.md §16).
+    /// exact for every intra-shard pair (DESIGN.md §16), and so for every
+    /// pair of the nodes a [`ShardProblem`] keeps.
     pub comm_radius: u32,
 }
 
@@ -384,24 +388,41 @@ pub fn plan(
     })
 }
 
-/// One shard's self-contained scheduling problem.
+/// One shard's self-contained scheduling problem, over the *kept* nodes:
+/// the shard nodes its flow set names, i.e. every route node and every
+/// access point. No scheduler or validator asks a distance involving any
+/// other node.
 #[derive(Debug)]
 pub struct ShardProblem {
     /// Index of the shard within its plan.
     pub shard: usize,
-    /// The shard's generated flow set (local node ids).
+    /// The shard's generated flow set, in local ids: local node `i` is
+    /// `local_to_global[i]`.
     pub flows: FlowSet,
-    /// Scheduler inputs: whole-plant reuse distances restricted to the
-    /// shard, and the shard's channel-block width.
+    /// Scheduler inputs: whole-plant reuse distances among the kept nodes,
+    /// their largest as `λ_R`, and the shard's channel-block width.
     pub model: NetworkModel,
-    /// Local dense node id → global plant node id.
+    /// Local dense node id → global plant node id, one entry per kept
+    /// node, strictly ascending (local order is global order).
     pub local_to_global: Vec<NodeId>,
     /// First global channel offset of the shard's block.
     pub offset_base: usize,
 }
 
-/// Builds shard `index`'s scheduling problem: local communication graph,
-/// globally-derived hop distances, and a seeded flow set.
+/// Builds shard `index`'s scheduling problem: a seeded flow set on the
+/// shard's local communication graph, then globally-derived hop distances
+/// among the nodes that flow set names.
+///
+/// The flows are generated on the subgraph of the plan's comm graph
+/// induced by all shard members, then relabeled onto the kept nodes (every
+/// route node and access point, ascending). The hop table holds the
+/// plan's whole-plant reuse distances among the kept nodes only, and
+/// `λ_R` is the largest of them, `D`. A member-wide `λ_R` would give the
+/// same schedules: every cell of a shard schedule holds kept nodes only,
+/// so at any `ρ > D` the channel constraint rejects every occupied cell
+/// and `find_slot` returns its `Rho::NoReuse` answer; RC's steps from a
+/// larger `λ_R` down to `D + 1` re-find the slot it already has (DESIGN.md
+/// §15).
 ///
 /// Both graphs come from `plan`, which carries the whole-plant graphs it
 /// was computed on; nothing is rebuilt from `plant`, which must be the
@@ -426,6 +447,35 @@ pub fn build_problem(
     jobs: usize,
 ) -> Result<ShardProblem, ShardError> {
     let _span = step_span("core.shard.build_problem", || vec![wsan_obs::kv("shard", index)]);
+    check_plan_inputs(plant, channels, plan, cfg)?;
+    let shard = &plan.shards[index];
+    let member_flows = shard_flows(plan, cfg, index)?;
+    let (local_to_global, flows) = onto_named_nodes(&member_flows, &shard.nodes);
+
+    // Hop distances: *global* reuse distances among the kept nodes. An
+    // induced-subgraph matrix would overstate distances (paths through
+    // non-members are invisible) and let RC/RA reuse un-conservatively.
+    // The capped extraction with `cap = 2·comm_radius + 1` is provably
+    // exact for every pair of shard members (see [`Shard::comm_radius`]),
+    // so the kept pairs read exactly what unbounded whole-plant BFS would.
+    let cap = distance_cap(shard);
+    let hops = plan.reuse.capped_hops_restricted(&local_to_global, cap, jobs);
+    debug_assert!(
+        hops.diameter() < cap,
+        "intra-shard distance reached the cap, violating the radius bound"
+    );
+    let model = NetworkModel::from_capped(hops, local_to_global.len(), shard.offsets);
+    Ok(ShardProblem { shard: index, flows, model, local_to_global, offset_base: shard.offset_base })
+}
+
+/// Refuses a plant, channel set or `prr_t` other than the ones `plan` was
+/// built for: its graphs would not describe the problem.
+fn check_plan_inputs(
+    plant: &Plant,
+    channels: &ChannelSet,
+    plan: &ShardPlan,
+    cfg: &ShardConfig,
+) -> Result<(), ShardError> {
     let mismatch = if plant.node_count() != plan.node_count() {
         Some("plant")
     } else if *channels != plan.channel_set {
@@ -435,35 +485,19 @@ pub fn build_problem(
     } else {
         None
     };
-    if let Some(what) = mismatch {
-        return Err(ShardError::Config {
+    match mismatch {
+        Some(what) => Err(ShardError::Config {
             reason: format!("the {what} differs from the one the plan was built for"),
-        });
+        }),
+        None => Ok(()),
     }
-    let shard = &plan.shards[index];
-    let locals = &shard.nodes;
-    let n_local = locals.len();
+}
 
-    // Local communication graph: the plant comm edges with both endpoints
-    // inside the shard.
-    let comm = plan.comm.induced(locals);
-
-    // Hop distances: *global* reuse distances restricted to the shard. An
-    // induced-subgraph matrix would overstate distances (paths through
-    // neighboring shards are invisible) and let RC/RA reuse
-    // un-conservatively. The capped extraction with `cap = 2·comm_radius
-    // + 1` is provably exact for every intra-shard pair (see
-    // [`Shard::comm_radius`]), so the resulting schedule is byte-identical
-    // to one built from unbounded whole-plant BFS — at a fraction of the
-    // cost, since each wave stops at the shard's reuse neighborhood.
-    let cap = shard.comm_radius.saturating_mul(2).saturating_add(1);
-    let hops = plan.reuse.capped_hops_restricted(locals, cap, jobs);
-    debug_assert!(
-        hops.diameter() < cap,
-        "intra-shard distance reached the cap, violating the radius bound"
-    );
-    let model = NetworkModel::from_capped(hops, n_local, shard.offsets);
-
+/// Shard `index`'s seeded flow set, generated on the subgraph of the
+/// plan's comm graph induced by the shard's members, in member-local ids
+/// (local `i` is `shard.nodes[i]`).
+fn shard_flows(plan: &ShardPlan, cfg: &ShardConfig, index: usize) -> Result<FlowSet, ShardError> {
+    let comm = plan.comm.induced(&plan.shards[index].nodes);
     let mut generator = FlowSetGenerator::new(mix(cfg.seed, 0x666c_6f77 ^ index as u64));
     let flow_cfg = FlowSetConfig {
         flow_count: cfg.flows_per_shard,
@@ -471,17 +505,48 @@ pub fn build_problem(
         pattern: cfg.pattern,
         access_points: 2,
     };
-    let flows = generator
+    generator
         .generate(&comm, &flow_cfg)
-        .map_err(|source| ShardError::Flows { shard: index, source })?;
+        .map_err(|source| ShardError::Flows { shard: index, source })
+}
 
-    Ok(ShardProblem {
-        shard: index,
-        flows,
-        model,
-        local_to_global: locals.clone(),
-        offset_base: shard.offset_base,
-    })
+/// The cap of a shard's restricted hop table, `2·comm_radius + 1`: above
+/// every distance between two of its members.
+fn distance_cap(shard: &Shard) -> u32 {
+    shard.comm_radius.saturating_mul(2).saturating_add(1)
+}
+
+/// Relabels `flows`, whose node ids index `members`, onto the members it
+/// names: every route node and every access point. Returns those members,
+/// in `members` order, and the relabeled set, in which node `k` is the
+/// `k`-th of them. The relabeling is monotone, so every order between node
+/// ids, and with it every tie-break, is kept.
+fn onto_named_nodes(flows: &FlowSet, members: &[NodeId]) -> (Vec<NodeId>, FlowSet) {
+    let mut named = vec![false; members.len()];
+    let routes = flows.iter().flat_map(Flow::segments).flat_map(Route::nodes);
+    for &v in routes.chain(flows.access_points()) {
+        named[v.index()] = true;
+    }
+    let mut kept = Vec::new();
+    let mut rank = vec![0usize; members.len()];
+    for (m, &node) in members.iter().enumerate() {
+        if named[m] {
+            rank[m] = kept.len();
+            kept.push(node);
+        }
+    }
+    let relabel = |v: &NodeId| NodeId::new(rank[v.index()]);
+    let relabeled = flows
+        .iter()
+        .map(|f| {
+            let segments =
+                f.segments().iter().map(|r| Route::new(r.nodes().iter().map(relabel).collect()));
+            Flow::with_segments(f.id(), segments.collect(), f.period(), f.deadline_slots())
+                .expect("the flow's own deadline is valid")
+        })
+        .collect();
+    let access_points = flows.access_points().iter().map(relabel).collect();
+    (kept, FlowSet::new(relabeled, access_points))
 }
 
 /// Schedules one shard's problem with an unmodified [`Scheduler`].
@@ -626,15 +691,89 @@ pub fn validate_stitched(
     // answers it exactly while visiting only each transmitter's
     // rho-neighborhood. No quadratic whole-plant hop matrix is needed.
     let reuse = plant.shared_reuse_graph(channels);
-    let rho = reuse_floor.unwrap_or(0);
-    let mut from: Vec<Option<Vec<u32>>> = vec![None; reuse.node_count()];
-    let hops = |src: NodeId, dst: NodeId| {
-        from[src.index()].get_or_insert_with(|| reuse.multi_bfs_capped(&[src], rho))[dst.index()]
-    };
+    let mut balls = RhoBalls::new(&reuse, reuse_floor.unwrap_or(0));
     let mut violations = Vec::new();
-    validate::check_interference(schedule, reuse_floor, hops, &mut violations);
+    validate::check_interference(
+        schedule,
+        reuse_floor,
+        |src, dst| balls.hops(src, dst),
+        &mut violations,
+    );
     validate::verdict(violations)
 }
+
+/// The `ρ`-balls of the transmitters the stitched validator asks about,
+/// stored sparsely: for each, the nodes closer than `ρ` on the reuse graph
+/// with their distances. A node outside the ball reads `ρ`, as it would
+/// in a `ρ`-capped wave.
+struct RhoBalls<'g> {
+    reuse: &'g ReuseGraph,
+    rho: u32,
+    /// Transmitter → its ball's range of `entries`.
+    ball_of: HashMap<NodeId, Range<usize>>,
+    /// Every ball back to back, each sorted by node.
+    entries: Vec<(NodeId, u32)>,
+    /// BFS scratch: the nodes of the ball being grown; cleared after it.
+    in_ball: Vec<bool>,
+}
+
+impl<'g> RhoBalls<'g> {
+    fn new(reuse: &'g ReuseGraph, rho: u32) -> Self {
+        RhoBalls {
+            reuse,
+            rho,
+            ball_of: HashMap::new(),
+            entries: Vec::new(),
+            in_ball: vec![false; reuse.node_count()],
+        }
+    }
+
+    /// Hop distance from `src` to `dst`, saturated at `ρ`.
+    fn hops(&mut self, src: NodeId, dst: NodeId) -> u32 {
+        let range = match self.ball_of.get(&src) {
+            Some(range) => range.clone(),
+            None => {
+                let range = self.grow(src);
+                self.ball_of.insert(src, range.clone());
+                range
+            }
+        };
+        let ball = &self.entries[range];
+        ball.binary_search_by_key(&dst, |&(v, _)| v).map_or(self.rho, |i| ball[i].1)
+    }
+
+    /// Appends `src`'s ball by BFS truncated below depth `ρ`, using the
+    /// appended entries as the queue, and returns its range.
+    fn grow(&mut self, src: NodeId) -> Range<usize> {
+        let start = self.entries.len();
+        if self.rho > 0 {
+            self.in_ball[src.index()] = true;
+            self.entries.push((src, 0));
+        }
+        let mut head = start;
+        while let Some(&(u, du)) = self.entries.get(head) {
+            head += 1;
+            if du + 1 == self.rho {
+                continue;
+            }
+            for &v in self.reuse.neighbors(u) {
+                if !self.in_ball[v.index()] {
+                    self.in_ball[v.index()] = true;
+                    self.entries.push((v, du + 1));
+                }
+            }
+        }
+        let ball = &mut self.entries[start..];
+        for &(v, _) in ball.iter() {
+            self.in_ball[v.index()] = false;
+        }
+        ball.sort_unstable_by_key(|&(v, _)| v);
+        start..self.entries.len()
+    }
+}
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

@@ -12,6 +12,7 @@ use super::Violation;
 use crate::shard::{
     build_problem, plan, schedule_shard, stitch, validate_stitched, ShardConfig, ShardPart,
 };
+use crate::test_util::{random_floor, random_plant};
 use crate::{
     NetworkModel, NoReuse, ReuseAggressively, ReuseConservatively, Schedule, ScheduleEntry,
     Scheduler, SchedulerConfig,
@@ -20,8 +21,6 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wsan_flow::{FlowId, FlowSet, FlowSetConfig, FlowSetGenerator, PeriodRange, TrafficPattern};
-use wsan_net::plants::{generate, PlantConfig};
-use wsan_net::propagation::PropagationModel;
 use wsan_net::{ChannelId, CommGraph, DirectedLink, NodeId, ReuseGraph};
 
 /// Checks every schedule property; `rho_t = None` additionally requires
@@ -364,29 +363,6 @@ fn random_network(rng: &mut StdRng) -> (CommGraph, ReuseGraph) {
     let mut reuse = comm.clone();
     reuse.extend(chords(rng.gen_range(0..2 * n), rng));
     (CommGraph::from_edges(n, &comm), ReuseGraph::from_edges(n, &reuse))
-}
-
-/// A random plant of at most 288 nodes: 1–3 × 1–2 buildings of 1–2 floors
-/// with 6–24 nodes per floor.
-fn random_plant(rng: &mut StdRng) -> wsan_net::plants::Plant {
-    let cfg = PlantConfig {
-        name: "validator-oracle".to_string(),
-        buildings_x: rng.gen_range(1..4),
-        buildings_y: rng.gen_range(1..3),
-        floors: rng.gen_range(1..3),
-        nodes_per_floor: rng.gen_range(6..25),
-        building_width_m: 40.0,
-        building_depth_m: 20.0,
-        street_gap_m: 12.0,
-        model: PropagationModel::default(),
-        channel_offset_sigma_db: 1.5,
-    };
-    generate(&cfg, rng.gen())
-}
-
-/// A validation floor: NR's `None` or a floor of 1–3 hops.
-fn random_floor(rng: &mut StdRng) -> Option<u32> {
-    [None, Some(1), Some(2), Some(3)][rng.gen_range(0..4usize)]
 }
 
 proptest! {

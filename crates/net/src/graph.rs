@@ -686,7 +686,8 @@ macro_rules! graph_common {
             /// between the given `nodes` (row/column `i` is `nodes[i]`),
             /// saturated at `cap`. This is the shard-extraction primitive:
             /// per-shard scheduling needs global reuse distances restricted
-            /// to the shard's members.
+            /// to the shard nodes its flows name. The `nodes` are the
+            /// table's *members* below.
             ///
             /// Each wave stops once it has reached every member, so the
             /// table's [`saturated`](CappedHops::saturated) speaks of
