@@ -79,6 +79,18 @@ echo "$sharded_list" | grep -q "panicking_consumer_is_re_raised_not_hung"
 obs_det_list="$(cargo test -q --test observability_determinism -- --list)"
 echo "$obs_det_list" | grep -q "sharded_run_spans_carry_the_stage_names_and_change_nothing"
 
+echo "==> durable line log: byte pins, failed appends and crash-point sweeps run in the default pass"
+echo "$plant_list" | grep -q "a_failed_append_is_cut_back_and_the_log_goes_on"
+echo "$validate_list" | grep -q "a_three_record_journal_keeps_its_exact_bytes"
+echo "$validate_list" | grep -q "a_failed_append_leaves_the_journal_resumable"
+echo "$validate_list" | grep -q "validation_guard_rejects_a_dropped_transmission"
+echo "$sharded_list" | grep -q "a_six_point_manifest_keeps_its_exact_bytes"
+echo "$sharded_list" | grep -q "a_failed_checkpoint_leaves_the_manifest_resumable"
+echo "$sharded_list" | grep -q "a_crash_at_any_byte_resumes_to_the_uninterrupted_sequence"
+echo "$sharded_list" | grep -q "dropped_checkpoints_re_run_on_resume"
+churn_list="$(cargo test -q --test gateway_churn -- --list)"
+echo "$churn_list" | grep -q "a_crash_at_any_byte_resumes_to_a_committed_prefix"
+
 echo "==> busy-slot-vs-every-slot sim equivalence suite runs in the default pass"
 eq_list="$(cargo test -q -p wsan-sim --test engine_equivalence -- --list)"
 echo "$eq_list" | grep -q "dense_contract_run_is_byte_identical"

@@ -42,31 +42,6 @@ struct FigureOutcome {
     elapsed_ms: u64,
 }
 
-/// A checkpointed failure must re-run on `--resume`, not replay as failed:
-/// drop manifest data lines whose outcome was unsuccessful (the engine then
-/// treats those figures as unfinished).
-fn prune_failed_checkpoints(manifest: &std::path::Path) -> std::io::Result<()> {
-    let text = match std::fs::read_to_string(manifest) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-        Err(e) => return Err(e),
-    };
-    let mut kept = String::new();
-    for (i, line) in text.lines().enumerate() {
-        let drop = i > 0
-            && serde_json::from_str::<(String, FigureOutcome)>(line)
-                .is_ok_and(|(_, outcome)| !outcome.success);
-        if !drop {
-            kept.push_str(line);
-            kept.push('\n');
-        }
-    }
-    if kept.len() != text.len() {
-        std::fs::write(manifest, kept)?;
-    }
-    Ok(())
-}
-
 fn main() -> ExitCode {
     run_main(|| {
         let opts = RunOptions::try_parse(100)?;
@@ -82,7 +57,8 @@ fn main() -> ExitCode {
 
         let manifest = log_dir.join("all_figures.manifest.jsonl");
         if opts.resume {
-            prune_failed_checkpoints(&manifest).map_err(write_err(&manifest))?;
+            // a checkpointed failure must re-run, not replay as failed
+            campaign::drop_checkpoints(&manifest, |o: &FigureOutcome| !o.success)?;
         }
         let points: Vec<PointSpec<&str>> =
             FIGURES.iter().map(|&f| PointSpec::new(f.to_string(), f)).collect();

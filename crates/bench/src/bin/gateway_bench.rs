@@ -115,13 +115,12 @@ fn main() -> ExitCode {
         // incumbent, and ride the pure suffix path — the gateway's common
         // "add one more monitoring flow" case. `mid-40`/`mixed-80`:
         // newcomers tie the incumbents' deadline and insert mid-order,
-        // re-placing about half the set. These sit at ~0.8x of the bare
-        // recompute comparator: the gap is admission bookkeeping (candidate
-        // clone, flow-set rebuild, prefix replay) that the comparator does
-        // not pay, not wasted scheduling. The affected-slot watermark check
-        // bounds the worst case — an insertion whose suffix placements start
-        // in the first quarter of the timeline skips straight to a full run
-        // instead of paying snapshot + replay on top of near-full work.
+        // re-placing about half the set. These sit near parity with the
+        // bare recompute comparator: the gap is admission bookkeeping
+        // (candidate clone, flow-set rebuild, prefix replay) that the
+        // comparator does not pay, not wasted scheduling. Every such
+        // admission re-places only its suffix, however early in the
+        // timeline that suffix's placements start.
         for &(name, preload, admissions, preload_deadline, admit_deadline) in &[
             ("tail-20", 20usize, 10usize, 96u32, 128u32),
             ("tail-40", 40, 10, 96, 128),

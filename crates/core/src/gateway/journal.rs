@@ -1,11 +1,14 @@
 //! Write-ahead operation journal for the gateway service.
 //!
-//! One JSONL file: the first line is a [`JournalHeader`] identifying the
-//! network configuration the journal was recorded against, every further
-//! line is a [`JournalRecord`] — a monotonically sequenced, *successful*
-//! mutating operation. The service applies an operation in memory first,
-//! then appends its record and `fsync`s **before** acknowledging the client,
-//! so an acknowledged operation is always durable.
+//! A [`wsan_net::linelog::LineLog`] of JSON lines: the first line is a
+//! [`JournalHeader`] identifying the network configuration the journal was
+//! recorded against, every further line is a [`JournalRecord`] — a
+//! monotonically sequenced, *successful* mutating operation. The service
+//! applies an operation in memory first, then appends its record, which
+//! the log `fsync`s **before** the client is acknowledged, so an
+//! acknowledged operation is always durable. A failed append leaves no
+//! bytes behind, so the next record still follows the last acknowledged
+//! one.
 //!
 //! Crash recovery ([`Journal::resume`]) replays the records in order
 //! through the same deterministic delta pipeline, reconstructing the exact
@@ -18,9 +21,8 @@
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
+use wsan_net::linelog::LineLog;
 
 /// Schema tag of the journal header line.
 pub const JOURNAL_SCHEMA: &str = "wsan.gateway-journal/1";
@@ -177,8 +179,7 @@ fn io_err(context: &str) -> impl FnOnce(std::io::Error) -> JournalError + '_ {
 /// An open write-ahead journal. See the module docs.
 #[derive(Debug)]
 pub struct Journal {
-    file: File,
-    path: PathBuf,
+    log: LineLog,
     next_seq: u64,
 }
 
@@ -190,25 +191,16 @@ impl Journal {
     ///
     /// [`JournalError::Io`] on any filesystem failure.
     pub fn create(path: impl Into<PathBuf>, header: &JournalHeader) -> Result<Self, JournalError> {
-        let path = path.into();
-        let mut file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&path)
-            .map_err(io_err("create"))?;
         let line = serde_json::to_string(header)
             .map_err(|e| JournalError::Corrupt { line: 1, reason: e.to_string() })?;
-        file.write_all(line.as_bytes()).map_err(io_err("write header"))?;
-        file.write_all(b"\n").map_err(io_err("write header"))?;
-        file.sync_data().map_err(io_err("sync header"))?;
-        Ok(Journal { file, path, next_seq: 1 })
+        let log = LineLog::create(path, line).map_err(io_err("create"))?;
+        Ok(Journal { log, next_seq: 1 })
     }
 
     /// Opens an existing journal, verifies its header against `expected`,
     /// truncates a torn tail if the process previously died mid-append, and
     /// returns the journal (positioned for appending) plus the records to
-    /// replay.
+    /// replay. A journal that is refused is left as it was.
     ///
     /// # Errors
     ///
@@ -220,32 +212,14 @@ impl Journal {
         path: impl Into<PathBuf>,
         expected: &JournalHeader,
     ) -> Result<(Self, Replay), JournalError> {
-        let path = path.into();
-        let mut file =
-            OpenOptions::new().read(true).write(true).open(&path).map_err(io_err("open"))?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes).map_err(io_err("read"))?;
-
-        // Split into newline-terminated lines; anything after the final
-        // newline is a torn tail by definition.
-        let mut lines: Vec<(usize, &[u8])> = Vec::new(); // (start offset, contents)
-        let mut start = 0;
-        for (i, &b) in bytes.iter().enumerate() {
-            if b == b'\n' {
-                lines.push((start, &bytes[start..i]));
-                start = i + 1;
-            }
-        }
-        let mut good_len = start as u64; // end of the last newline-terminated line
-        let mut truncated = (bytes.len() - start) as u64;
-
-        if lines.is_empty() {
+        let (mut log, lines) = LineLog::open(path).map_err(io_err("open"))?;
+        let Some(first) = lines.first() else {
             return Err(JournalError::Corrupt {
                 line: 1,
                 reason: "no complete header line".to_string(),
             });
-        }
-        let header: JournalHeader = parse_line(lines[0].1, 1)?;
+        };
+        let header: JournalHeader = parse_line(&first.bytes, 1)?;
         if header != *expected {
             return Err(JournalError::HeaderMismatch {
                 found: format!("{}/{}/{}", header.schema, header.network, header.algo),
@@ -254,10 +228,11 @@ impl Journal {
         }
 
         let mut records: Vec<JournalRecord> = Vec::new();
-        for (idx, (offset, raw)) in lines.iter().enumerate().skip(1) {
+        // where the kept lines end; the bytes after them are cut
+        let mut keep = first.end();
+        for (idx, line) in lines.iter().enumerate().skip(1) {
             let line_no = idx + 1;
-            let is_last = idx == lines.len() - 1;
-            match parse_line::<JournalRecord>(raw, line_no) {
+            match parse_line::<JournalRecord>(&line.bytes, line_no) {
                 Ok(rec) => {
                     if rec.seq != records.len() as u64 + 1 {
                         return Err(JournalError::Corrupt {
@@ -274,21 +249,15 @@ impl Journal {
                 // A damaged *final* line is a torn write from a crash
                 // mid-append (it was never acknowledged); drop it. Damage
                 // anywhere earlier means real corruption.
-                Err(_) if is_last => {
-                    good_len = *offset as u64;
-                    truncated = bytes.len() as u64 - good_len;
-                }
+                Err(_) if idx == lines.len() - 1 => break,
                 Err(e) => return Err(e),
             }
+            keep = line.end();
         }
 
-        if truncated > 0 {
-            file.set_len(good_len).map_err(io_err("truncate torn tail"))?;
-            file.sync_data().map_err(io_err("sync truncate"))?;
-        }
-        file.seek(SeekFrom::End(0)).map_err(io_err("seek"))?;
+        let truncated_bytes = log.truncate(keep).map_err(io_err("truncate torn tail"))?;
         let next_seq = records.len() as u64 + 1;
-        Ok((Journal { file, path, next_seq }, Replay { records, truncated_bytes: truncated }))
+        Ok((Journal { log, next_seq }, Replay { records, truncated_bytes }))
     }
 
     /// Durably appends a successful operation; returns its sequence number.
@@ -297,15 +266,15 @@ impl Journal {
     /// # Errors
     ///
     /// [`JournalError::Io`] when the record cannot be made durable — the
-    /// caller must then report the operation as failed.
+    /// caller must then report the operation as failed. The journal then
+    /// holds exactly the records acknowledged before, and the next append
+    /// reuses the sequence number.
     pub fn append(&mut self, op: &GatewayOp) -> Result<u64, JournalError> {
         let seq = self.next_seq;
         let record = JournalRecord { seq, op: op.clone() };
         let line = serde_json::to_string(&record)
             .map_err(|e| JournalError::Corrupt { line: 0, reason: e.to_string() })?;
-        self.file.write_all(line.as_bytes()).map_err(io_err("append"))?;
-        self.file.write_all(b"\n").map_err(io_err("append"))?;
-        self.file.sync_data().map_err(io_err("sync append"))?;
+        self.log.append(line).map_err(io_err("append"))?;
         self.next_seq += 1;
         Ok(seq)
     }
@@ -317,7 +286,7 @@ impl Journal {
 
     /// The journal's file path.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 }
 
@@ -333,7 +302,9 @@ fn parse_line<T: Deserialize>(raw: &[u8], line_no: usize) -> Result<T, JournalEr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::fs;
+    use std::fs::{self, OpenOptions};
+    use std::io::Write as _;
+    use wsan_net::linelog::{FailingFile, Fault};
 
     fn temp_path(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("wsan-gateway-journal");
@@ -430,6 +401,64 @@ mod tests {
         drop(f);
         let err = Journal::resume(&path, &header()).unwrap_err();
         assert!(matches!(err, JournalError::Corrupt { .. }), "{err}");
+        fs::remove_file(&path).unwrap();
+    }
+
+    /// A record whose write or sync fails is reported as failed and leaves
+    /// no bytes behind: the next two appends reuse its sequence number and
+    /// the one after, and resume replays exactly the acknowledged records.
+    #[test]
+    fn a_failed_append_leaves_the_journal_resumable() {
+        for fault in [Fault::WriteAfter(0), Fault::WriteAfter(20), Fault::SyncAfter(0)] {
+            let path = temp_path("failed-append");
+            let mut j = Journal::create(&path, &header()).unwrap();
+            j.append(&add("a")).unwrap();
+            j.log = j.log.map_file(|f| Box::new(FailingFile::new(f, fault, false)));
+            let err = j.append(&add("lost")).unwrap_err();
+            assert!(matches!(err, JournalError::Io { .. }), "{fault:?}: {err}");
+            assert_eq!(j.append(&add("b")).unwrap(), 2, "{fault:?}");
+            assert_eq!(j.append(&add("c")).unwrap(), 3, "{fault:?}");
+            drop(j);
+            let (_, replay) = Journal::resume(&path, &header()).unwrap();
+            let ops: Vec<(u64, GatewayOp)> =
+                replay.records.into_iter().map(|r| (r.seq, r.op)).collect();
+            assert_eq!(ops, [(1, add("a")), (2, add("b")), (3, add("c"))], "{fault:?}");
+            assert_eq!(replay.truncated_bytes, 0, "{fault:?}");
+
+            // when the cut back fails as well, every later append is refused
+            let (mut j, _) = Journal::resume(&path, &header()).unwrap();
+            j.log = j.log.map_file(|f| Box::new(FailingFile::new(f, fault, true)));
+            assert!(j.append(&add("lost")).is_err(), "{fault:?}");
+            assert!(j.append(&add("d")).is_err(), "{fault:?}");
+            assert_eq!(j.next_seq(), 4, "{fault:?}");
+            fs::remove_file(&path).unwrap();
+        }
+    }
+
+    /// The on-disk bytes of a journal are its compatibility contract: a
+    /// journal written by one build must resume on another.
+    #[test]
+    fn a_three_record_journal_keeps_its_exact_bytes() {
+        let path = temp_path("pin");
+        let mut j = Journal::create(&path, &header()).unwrap();
+        j.append(&add("a")).unwrap();
+        j.append(&GatewayOp::UpdateRate { name: "a".to_string(), period: 200, deadline: 150 })
+            .unwrap();
+        j.append(&GatewayOp::RetireLink { tx: 3, rx: 4 }).unwrap();
+        drop(j);
+        assert_eq!(
+            fs::read_to_string(&path).unwrap(),
+            concat!(
+                r#"{"schema":"wsan.gateway-journal/1","network":"test-net","algo":"rc/2"}"#,
+                "\n",
+                r#"{"seq":1,"op":{"AddFlow":{"name":"a","source":0,"dest":2,"period":100,"deadline":50}}}"#,
+                "\n",
+                r#"{"seq":2,"op":{"UpdateRate":{"name":"a","period":200,"deadline":150}}}"#,
+                "\n",
+                r#"{"seq":3,"op":{"RetireLink":{"tx":3,"rx":4}}}"#,
+                "\n",
+            )
+        );
         fs::remove_file(&path).unwrap();
     }
 

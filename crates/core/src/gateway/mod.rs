@@ -552,7 +552,6 @@ impl GatewayState {
                 });
             }
             let from = if horizon == old_horizon { changed_from.min(candidate.len()) } else { 0 };
-            let from = self.effective_from(from, horizon);
             let base = self.prefix_schedule(horizon, from);
             reschedules += 1;
             match self.scheduler.schedule_onto(&set, &self.model, &self.sched_config, base, from) {
@@ -577,35 +576,6 @@ impl GatewayState {
                 }
                 Err(e) => return Err(GatewayError::Schedule(e)),
             }
-        }
-    }
-
-    /// Mid-order admissions re-place every flow at or below the insertion
-    /// point. When that suffix's earliest current placement (the
-    /// *affected-slot watermark*) sits in the first quarter of the
-    /// timeline, the change invalidates the schedule almost from slot 0:
-    /// the suffix run redoes nearly all the placement work of a full run
-    /// *and* pays the prefix snapshot + replay on top. Detect the case
-    /// with one pass over the committed entries (far cheaper than either
-    /// schedule run) and fall through to a full run (`from = 0`) early
-    /// instead, skipping the snapshot. Shallower watermarks stay on the
-    /// suffix path — there the skipped prefix flows outweigh the replay
-    /// cost. Tail appends (`from >= admitted.len()`) never pay this check
-    /// beyond two comparisons.
-    fn effective_from(&self, from: usize, horizon: u32) -> usize {
-        if from == 0 || from >= self.admitted.len() {
-            return from;
-        }
-        let watermark = self
-            .schedule
-            .entries()
-            .iter()
-            .filter(|e| e.tx.flow.index() >= from)
-            .map(|e| e.slot)
-            .min();
-        match watermark {
-            Some(watermark) if u64::from(watermark) * 4 < u64::from(horizon) => 0,
-            _ => from,
         }
     }
 
@@ -721,20 +691,19 @@ mod tests {
     }
 
     #[test]
-    fn deep_mid_order_admission_falls_through_to_full() {
+    fn deep_mid_order_admission_re_places_only_the_suffix() {
         let mut gw = rc_gateway(12, 2);
         gw.add_flow("h1", spec(&[0, 1], 100, 20)).unwrap();
         gw.add_flow("h2", spec(&[2, 3], 100, 30)).unwrap();
         gw.add_flow("l1", spec(&[4, 5], 100, 80)).unwrap();
         gw.add_flow("l2", spec(&[6, 7], 100, 90)).unwrap();
-        // the newcomer sorts between h2 and l1, so l1/l2 must re-place —
-        // and their current placements sit at the very start of the
-        // timeline (deep prefix invalidation). The watermark check must
-        // route this admission to a full run instead of paying prefix
-        // snapshot + replay for a suffix that redoes almost everything.
+        // the newcomer sorts between h2 and l1, so l1/l2 must re-place,
+        // though their current placements sit at the very start of the
+        // timeline: the suffix run keeps h1/h2 and still lands on the
+        // recompute's schedule
         let r = gw.add_flow("mid", spec(&[8, 9], 100, 60)).unwrap();
         assert_eq!(gw.flow_names(), vec!["h1", "h2", "mid", "l1", "l2"]);
-        assert_eq!(r.path, DeltaPath::Full);
+        assert_eq!(r.path, DeltaPath::Suffix { from: 2 });
         assert_oracle(&gw);
     }
 
@@ -922,28 +891,32 @@ mod tests {
     #[test]
     fn validation_guard_rejects_a_dropped_transmission() {
         let paranoid = GatewayConfig { paranoid: true, ..GatewayConfig::default() };
-        for (config, guarded) in
-            [(paranoid.clone(), true), (GatewayConfig::default(), cfg!(debug_assertions))]
-        {
-            let mut gw = GatewayState::new(model(8, 2), Box::new(DropsOneTransmission), config);
-            gw.add_flow("a", spec(&[0, 1, 2], 100, 80)).unwrap();
-            let (flows, schedule) = (gw.flow_set(), gw.schedule().clone());
-            // a two-hop newcomer: without its last retry, its job holds
-            // three transmissions for two links
-            let result = gw.add_flow("b", spec(&[4, 5, 6], 100, 90));
-            if guarded {
-                assert!(
-                    matches!(
-                        result,
-                        Err(GatewayError::Schedule(ScheduleError::Inconsistent { .. }))
-                    ),
-                    "{result:?}"
-                );
-                assert_eq!(gw.flow_set(), flows);
-                assert_eq!(gw.schedule(), &schedule);
-            } else {
-                // release builds validate only under `paranoid`
-                assert!(result.is_ok(), "{result:?}");
+        // A two-hop newcomer: without its last retry, its job holds three
+        // transmissions for two links. A one-hop newcomer: without its
+        // retry, its job reads as scheduled without retries, which the
+        // two-hop incumbent's retries rule out.
+        for newcomer in [&[4, 5, 6][..], &[4, 5]] {
+            for (config, guarded) in
+                [(paranoid.clone(), true), (GatewayConfig::default(), cfg!(debug_assertions))]
+            {
+                let mut gw = GatewayState::new(model(8, 2), Box::new(DropsOneTransmission), config);
+                gw.add_flow("a", spec(&[0, 1, 2], 100, 80)).unwrap();
+                let (flows, schedule) = (gw.flow_set(), gw.schedule().clone());
+                let result = gw.add_flow("b", spec(newcomer, 100, 90));
+                if guarded {
+                    assert!(
+                        matches!(
+                            result,
+                            Err(GatewayError::Schedule(ScheduleError::Inconsistent { .. }))
+                        ),
+                        "{newcomer:?}: {result:?}"
+                    );
+                    assert_eq!(gw.flow_set(), flows);
+                    assert_eq!(gw.schedule(), &schedule);
+                } else {
+                    // release builds validate only under `paranoid`
+                    assert!(result.is_ok(), "{newcomer:?}: {result:?}");
+                }
             }
         }
 

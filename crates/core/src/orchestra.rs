@@ -15,6 +15,7 @@
 //! passes. Reliability and latency are whatever contention leaves over.
 
 use serde::{Deserialize, Serialize};
+use wsan_net::fnv::splitmix64;
 use wsan_net::NodeId;
 
 /// A receiver-based autonomous unicast slotframe.
@@ -81,11 +82,8 @@ impl AutonomousSlotframe {
 }
 
 /// SplitMix64 — cheap deterministic hash for slot derivation.
-fn hash(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+fn hash(x: u64) -> u64 {
+    splitmix64(x.wrapping_add(0x9E37_79B9_7F4A_7C15))
 }
 
 #[cfg(test)]

@@ -52,6 +52,7 @@ use std::sync::Arc;
 use wsan_flow::{
     Flow, FlowError, FlowId, FlowSet, FlowSetConfig, FlowSetGenerator, PeriodRange, TrafficPattern,
 };
+use wsan_net::fnv::splitmix64;
 use wsan_net::parallel::parallel_map_with;
 use wsan_net::plants::Plant;
 use wsan_net::{ChannelSet, CommGraph, NodeId, Prr, ReuseGraph, Route};
@@ -237,12 +238,10 @@ fn step_span(
     wsan_obs::span(wsan_obs::Level::Debug, name, if enabled { fields() } else { Vec::new() })
 }
 
-/// Splitmix64-style mixer deriving independent sub-seeds.
+/// Derives independent sub-seeds: the SplitMix64 finalizer over the seed
+/// and a scaled salt.
 fn mix(seed: u64, salt: u64) -> u64 {
-    let mut x = seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+    splitmix64(seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 /// Partitions `plant` into `cfg.shards` per-gateway shards and colors the

@@ -6,7 +6,11 @@
 //! kept:
 //!
 //! 1. **Completeness** — every job of every flow has all its transmissions,
-//!    in route order, primaries before their retries.
+//!    in route order, primaries before their retries. The engine
+//!    provisions one number of attempts per link for a whole run, so every
+//!    job must carry the most that any job of the schedule carries. The
+//!    blind spot left: a schedule that lacks every retry of every job reads
+//!    as one scheduled without retries.
 //! 2. **Windows** — each job's transmissions lie within
 //!    `[release, release + D − 1]` and occupy strictly increasing slots.
 //! 3. **Transmission conflicts** — no two transmissions in a slot share a
@@ -148,8 +152,10 @@ pub(crate) fn check_interference(
 /// Properties 1 and 2. One counting sort buckets the entries by
 /// `(flow, job)`, keeping placement order within a bucket; `FlowSet` keeps
 /// `FlowId(i)` at position `i`, so job `k` of flow `i` is bucket
-/// `first[i] + k`. Each bucket is then sorted by `seq` and checked, and
-/// every entry naming no job of `flows` is reported after the buckets.
+/// `first[i] + k`. The largest whole number of attempts per link in any
+/// bucket is the schedule's; each bucket is then sorted by `seq` and
+/// checked against it, and every entry naming no job of `flows` is
+/// reported after the buckets.
 fn check_jobs(schedule: &Schedule, flows: &FlowSet, out: &mut Vec<Violation>) {
     let entries = schedule.entries();
     let jobs: Vec<Vec<Job>> = flows.iter().map(|flow| flow.jobs(schedule.horizon())).collect();
@@ -178,15 +184,22 @@ fn check_jobs(schedule: &Schedule, flows: &FlowSet, out: &mut Vec<Violation>) {
         }
     }
 
+    let mut attempts = 1;
+    for (f, flow) in flows.iter().enumerate() {
+        for b in first[f]..first[f + 1] {
+            attempts = attempts.max((start[b + 1] - start[b]) / flow.hop_count().max(1));
+        }
+    }
+
     for (f, (flow, flow_jobs)) in flows.iter().zip(&jobs).enumerate() {
         let links = flow.links();
         for (k, job) in flow_jobs.iter().enumerate() {
             let mine = &mut order[start[first[f] + k]..start[first[f] + k + 1]];
             mine.sort_by_key(|&i| entries[i].tx.seq);
-            // completeness: a whole number of attempts per route link
-            let (flow, job_index, expected) = (flow.id().index(), job.index(), links.len());
-            let found = mine.len();
-            if found == 0 || !found.is_multiple_of(expected) {
+            // completeness: the schedule's attempts on every route link
+            let (flow, job_index) = (flow.id().index(), job.index());
+            let (expected, found) = (links.len() * attempts, mine.len());
+            if found != expected || found == 0 {
                 out.push(Violation::WrongTransmissionCount {
                     flow,
                     job: job_index,
@@ -195,7 +208,6 @@ fn check_jobs(schedule: &Schedule, flows: &FlowSet, out: &mut Vec<Violation>) {
                 });
                 continue;
             }
-            let attempts = found / expected;
             let bad = |why| Violation::BadSequencing { flow, job: job_index, why };
             let mut last_slot: Option<u32> = None;
             for (i, entry) in mine.iter().map(|&i| &entries[i]).enumerate() {

@@ -44,35 +44,31 @@ pub(crate) fn check(
 
 fn check_jobs(schedule: &Schedule, flows: &FlowSet, out: &mut Vec<Violation>) {
     let horizon = schedule.horizon();
-    // group entries by (flow, job)
+    let entries_of = |flow: FlowId, job: u32| -> Vec<&ScheduleEntry> {
+        schedule.entries().iter().filter(|e| e.tx.flow == flow && e.tx.job_index == job).collect()
+    };
+    // the schedule's attempts per link: the most that any job carries
+    let mut attempts = 1;
+    for flow in flows.iter() {
+        for job in flow.jobs(horizon) {
+            let links = flow.links().len().max(1);
+            attempts = attempts.max(entries_of(flow.id(), job.index()).len() / links);
+        }
+    }
     for flow in flows.iter() {
         let links: Vec<_> = flow.links();
         for job in flow.jobs(horizon) {
-            let mut entries: Vec<_> = schedule
-                .entries()
-                .iter()
-                .filter(|e| e.tx.flow == flow.id() && e.tx.job_index == job.index())
-                .collect();
+            let mut entries = entries_of(flow.id(), job.index());
             entries.sort_by_key(|e| e.tx.seq);
             // completeness: seq must be 0..n with each link appearing in
-            // route order; attempts per link inferred from count
+            // route order, `attempts` times each
             let found = entries.len();
-            if found % links.len() != 0 {
+            if found == 0 || found != links.len() * attempts {
                 out.push(Violation::WrongTransmissionCount {
                     flow: flow.id().index(),
                     job: job.index(),
-                    expected: links.len(),
+                    expected: links.len() * attempts,
                     found,
-                });
-                continue;
-            }
-            let attempts = found / links.len();
-            if attempts == 0 {
-                out.push(Violation::WrongTransmissionCount {
-                    flow: flow.id().index(),
-                    job: job.index(),
-                    expected: links.len(),
-                    found: 0,
                 });
                 continue;
             }
@@ -193,6 +189,8 @@ enum Mutation {
     MoveSlot,
     /// One retry (or, without retries, any entry) is dropped.
     DropRetry,
+    /// Every retry of one job is dropped, leaving its primaries.
+    DropJobRetries,
     /// Two entries, of one job where possible, swap their `seq`s.
     SwapSeqs,
     /// One entry moves to a conflict-free slot at or past its deadline.
@@ -207,10 +205,11 @@ enum Mutation {
 }
 
 impl Mutation {
-    const ALL: [Mutation; 8] = [
+    const ALL: [Mutation; 9] = [
         Mutation::Unchanged,
         Mutation::MoveSlot,
         Mutation::DropRetry,
+        Mutation::DropJobRetries,
         Mutation::SwapSeqs,
         Mutation::PastDeadline,
         Mutation::UnknownJob,
@@ -247,6 +246,20 @@ impl Mutation {
                     retries[rng.gen_range(0..retries.len())]
                 };
                 Some(replay_without(schedule, i))
+            }
+            Mutation::DropJobRetries => {
+                let retries: Vec<usize> =
+                    (0..entries.len()).filter(|&i| entries[i].tx.attempt > 0).collect();
+                let job = entries[*retries.get(rng.gen_range(0..retries.len().max(1)))?].tx;
+                let kept: Vec<ScheduleEntry> = entries
+                    .iter()
+                    .filter(|e| {
+                        (e.tx.flow, e.tx.job_index, e.tx.attempt) == (job.flow, job.job_index, 0)
+                            || (e.tx.flow, e.tx.job_index) != (job.flow, job.job_index)
+                    })
+                    .copied()
+                    .collect();
+                Some(replay(schedule, &kept))
             }
             Mutation::SwapSeqs => {
                 let i = pick(rng);
@@ -407,6 +420,15 @@ proptest! {
                         found.iter().any(|v| matches!(v, Violation::UnknownJob { .. }))
                     });
                     prop_assert!(flagged, "seed {}: the unknown job passed", seed);
+                }
+                // while another job keeps its retries, the stripped job
+                // is short of the schedule's attempts
+                if let Mutation::DropJobRetries = mutation {
+                    let flagged = verdict.as_ref().is_err_and(|found| {
+                        found.iter().any(|v| matches!(v, Violation::WrongTransmissionCount { .. }))
+                    });
+                    let retries_left = mutated.entries().iter().any(|e| e.tx.attempt > 0);
+                    prop_assert!(flagged || !retries_left, "seed {}: the stripped job passed", seed);
                 }
             }
         }

@@ -14,22 +14,27 @@
 //! * **Bounded memory**: a worker claims a point only while fewer than
 //!   `max(4 × jobs, 8)` fresh results wait to be consumed.
 //! * **Checkpointing**: with a manifest path set, every finished point is
-//!   appended to a JSONL manifest (flushed per line) as soon as it
-//!   finishes. A later run with [`CampaignConfig::resume`] replays those
-//!   results instead of recomputing them; a torn trailing line (killed
-//!   mid-write) is cut off and that point simply re-runs.
+//!   appended to a JSONL manifest as soon as it finishes, through a
+//!   [`wsan_net::linelog::LineLog`], which `fsync`s each line. The first
+//!   line is a header naming the campaign's format version and
+//!   fingerprint; every further line is one `[key, result]` pair. A later
+//!   run with [`CampaignConfig::resume`] replays those results instead of
+//!   recomputing them; a torn trailing line (killed mid-write), or any
+//!   line that does not parse, is skipped and that point simply re-runs.
+//!   [`drop_checkpoints`] rewrites a manifest without chosen checkpoints,
+//!   atomically.
 //! * **Cooperative cancellation**: the first failing point stops the pool;
 //!   workers stop claiming, in-flight successes are still checkpointed (so
 //!   the work is not lost), and the earliest failure is reported.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 use wsan_net::fnv::Fnv1a;
+use wsan_net::linelog::{self, Line, LineLog};
 use wsan_net::parallel::{parallel_for_each_ordered, worker_count};
 
 /// One sweep point: a unique key (the manifest identity) plus the input the
@@ -174,42 +179,42 @@ fn fingerprint<I>(name: &str, points: &[PointSpec<I>]) -> u64 {
 
 /// Open manifest handle used for appending checkpoints.
 struct Checkpointer {
-    file: std::fs::File,
-    path: PathBuf,
+    log: LineLog,
     /// The first failed write. Nothing is written after it, and it is the
     /// run's error.
     failed: Option<CampaignError>,
 }
 
 impl Checkpointer {
-    /// Appends one `(key, result)` line unless an earlier write failed. A
-    /// failure is kept for the run's error; its message stops the pool.
+    /// Durably appends one `(key, result)` line unless an earlier write
+    /// failed. A failure is kept for the run's error; its message stops the
+    /// pool.
     fn checkpoint<R: Serialize>(&mut self, key: &str, result: &R) -> Result<(), String> {
         if self.failed.is_some() {
             return Ok(());
         }
         let line = serde_json::to_string(&(key, result)).map_err(|e| CampaignError::Manifest {
-            path: self.path.clone(),
+            path: self.log.path().to_path_buf(),
             message: format!("cannot serialize point '{key}': {e}"),
         });
-        line.and_then(|line| self.write_line(&line)).map_err(|e| {
+        let written =
+            line.and_then(|line| self.log.append(line).map_err(io_error(self.log.path())));
+        written.map_err(|e| {
             let message = e.to_string();
             self.failed = Some(e);
             message
         })
     }
+}
 
-    /// Writes one line and flushes it, so a killed process loses at most
-    /// the line being written.
-    fn write_line(&mut self, line: &str) -> Result<(), CampaignError> {
-        let io_err = |e: std::io::Error| CampaignError::Io {
-            path: self.path.clone(),
-            message: e.to_string(),
-        };
-        self.file.write_all(line.as_bytes()).map_err(io_err)?;
-        self.file.write_all(b"\n").map_err(io_err)?;
-        self.file.flush().map_err(io_err)
-    }
+fn io_error(path: &Path) -> impl FnOnce(std::io::Error) -> CampaignError + '_ {
+    move |e| CampaignError::Io { path: path.to_path_buf(), message: e.to_string() }
+}
+
+/// A manifest line as `T`, or `None` when it is not UTF-8 JSON of that
+/// shape.
+fn parse_line<T: Deserialize>(line: &Line) -> Option<T> {
+    serde_json::from_str(std::str::from_utf8(&line.bytes).ok()?).ok()
 }
 
 /// Parses a manifest's complete lines into `original index → result`,
@@ -217,14 +222,12 @@ impl Checkpointer {
 /// keys are skipped — their points re-run.
 fn load_manifest<R: Deserialize>(
     path: &Path,
-    text: &str,
+    lines: &[Line],
     expect_fingerprint: u64,
     key_index: &BTreeMap<&str, usize>,
 ) -> Result<BTreeMap<usize, R>, CampaignError> {
-    let mut lines = text.lines();
-    let header_line = lines.next().unwrap_or("");
     let header: ManifestHeader =
-        serde_json::from_str(header_line).map_err(|_| CampaignError::Manifest {
+        lines.first().and_then(parse_line).ok_or_else(|| CampaignError::Manifest {
             path: path.to_path_buf(),
             message: "missing or unreadable header line".to_string(),
         })?;
@@ -245,13 +248,7 @@ fn load_manifest<R: Deserialize>(
         });
     }
     let mut resumed = BTreeMap::new();
-    for line in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let Ok((key, result)) = serde_json::from_str::<(String, R)>(line) else {
-            continue;
-        };
+    for (key, result) in lines[1..].iter().filter_map(parse_line::<(String, R)>) {
         if let Some(&idx) = key_index.get(key.as_str()) {
             resumed.entry(idx).or_insert(result);
         }
@@ -260,8 +257,8 @@ fn load_manifest<R: Deserialize>(
 }
 
 /// Prepares the manifest for this run: loads resumable results (when
-/// `resume` is set and the file exists) and opens the file for appending,
-/// cutting a torn tail, or writes a fresh header when starting over.
+/// `resume` is set and the file exists) and keeps the log open for
+/// appending after them, or writes a fresh header when starting over.
 fn open_manifest<I, R: Deserialize>(
     name: &str,
     points: &[PointSpec<I>],
@@ -271,57 +268,65 @@ fn open_manifest<I, R: Deserialize>(
     let Some(path) = &cfg.manifest else {
         return Ok((None, BTreeMap::new()));
     };
-    let io_err =
-        |e: std::io::Error| CampaignError::Io { path: path.clone(), message: e.to_string() };
     let fp = fingerprint(name, points);
-    let mut resumed = BTreeMap::new();
-    // on resume, the length of the manifest's newline-terminated lines
-    let mut complete = None;
     if cfg.resume {
-        match std::fs::read_to_string(path) {
-            Ok(text) => {
-                // anything after the last newline is a torn write
-                let len = text.rfind('\n').map_or(0, |i| i + 1);
-                resumed = load_manifest(path, &text[..len], fp, key_index)?;
-                complete = Some(len as u64);
+        match LineLog::open(path) {
+            Ok((log, lines)) => {
+                let resumed = load_manifest(path, &lines, fp, key_index)?;
+                return Ok((Some(Checkpointer { log, failed: None }), resumed));
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(io_err(e)),
+            Err(e) => return Err(io_error(path)(e)),
         }
     }
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).map_err(io_err)?;
+            std::fs::create_dir_all(parent).map_err(io_error(path))?;
         }
     }
-    let file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(complete.is_some())
-        .write(true)
-        .truncate(complete.is_none())
-        .open(path)
-        .map_err(io_err)?;
-    let mut ckpt = Checkpointer { file, path: path.clone(), failed: None };
-    match complete {
-        // the next checkpoint must start a line of its own, not finish the
-        // torn one
-        Some(len) => ckpt.file.set_len(len).map_err(io_err)?,
-        None => {
-            let header = ManifestHeader {
-                format: MANIFEST_FORMAT.to_string(),
-                version: MANIFEST_VERSION,
-                campaign: name.to_string(),
-                fingerprint: fp,
-                points: points.len() as u64,
-            };
-            let line = serde_json::to_string(&header).map_err(|e| CampaignError::Manifest {
-                path: path.clone(),
-                message: e.to_string(),
-            })?;
-            ckpt.write_line(&line)?;
-        }
+    let header = ManifestHeader {
+        format: MANIFEST_FORMAT.to_string(),
+        version: MANIFEST_VERSION,
+        campaign: name.to_string(),
+        fingerprint: fp,
+        points: points.len() as u64,
+    };
+    let line = serde_json::to_string(&header)
+        .map_err(|e| CampaignError::Manifest { path: path.clone(), message: e.to_string() })?;
+    let log = LineLog::create(path, line).map_err(io_error(path))?;
+    Ok((Some(Checkpointer { log, failed: None }), BTreeMap::new()))
+}
+
+/// Rewrites the manifest at `path` without the checkpoints whose result
+/// `drop` selects, so their points re-run on the next resume. The header
+/// and every other complete line stay as they were; a torn tail goes. The
+/// rewrite is atomic, and a missing manifest has nothing to drop. Returns
+/// how many checkpoints were dropped.
+///
+/// # Errors
+///
+/// [`CampaignError::Io`] when the manifest cannot be read or rewritten.
+pub fn drop_checkpoints<R: Deserialize>(
+    path: &Path,
+    drop: impl Fn(&R) -> bool,
+) -> Result<usize, CampaignError> {
+    let lines = match LineLog::open(path) {
+        Ok((_, lines)) => lines,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
+        Err(e) => return Err(io_error(path)(e)),
+    };
+    let dropped = |line: &Line| parse_line::<(String, R)>(line).is_some_and(|(_, r)| drop(&r));
+    let kept: Vec<&[u8]> = lines
+        .iter()
+        .enumerate()
+        .filter(|&(i, line)| i == 0 || !dropped(line))
+        .map(|(_, line)| line.bytes.as_slice())
+        .collect();
+    let count = lines.len() - kept.len();
+    if count > 0 {
+        linelog::rewrite(path, kept).map_err(io_error(path))?;
     }
-    Ok((Some(ckpt), resumed))
+    Ok(count)
 }
 
 /// Throughput instruments, created only when global metrics are enabled.
@@ -370,6 +375,25 @@ pub fn run<I, R, F, A>(
     points: &[PointSpec<I>],
     cfg: &CampaignConfig,
     run_point: F,
+    consume: A,
+) -> Result<CampaignSummary, CampaignError>
+where
+    I: Sync,
+    R: Send + Serialize + Deserialize,
+    F: Fn(&PointSpec<I>) -> Result<R, String> + Sync,
+    A: FnMut(&PointSpec<I>, R),
+{
+    run_logged(name, points, cfg, |log| log, run_point, consume)
+}
+
+/// [`run`], with the manifest's log passed through `wrap` once it is open:
+/// the seam through which a test fails a checkpoint.
+fn run_logged<I, R, F, A>(
+    name: &str,
+    points: &[PointSpec<I>],
+    cfg: &CampaignConfig,
+    wrap: impl FnOnce(LineLog) -> LineLog,
+    run_point: F,
     mut consume: A,
 ) -> Result<CampaignSummary, CampaignError>
 where
@@ -406,7 +430,7 @@ where
 
     // a panic under this lock can only come from serializing a result,
     // before any byte of its line is written
-    let ckpt = ckpt.map(Mutex::new);
+    let ckpt = ckpt.map(|c| Mutex::new(Checkpointer { log: wrap(c.log), ..c }));
     let (claimed, executed) = (AtomicUsize::new(0), AtomicUsize::new(0));
     // runs on a worker; checkpoints in completion order, even after another
     // point failed, so finished work stays saved
@@ -472,6 +496,7 @@ where
 mod tests {
     use super::*;
     use std::time::Duration;
+    use wsan_net::linelog::{FailingFile, Fault};
 
     fn specs(n: usize) -> Vec<PointSpec<u64>> {
         (0..n).map(|i| PointSpec::new(format!("p{i}"), i as u64)).collect()
@@ -635,6 +660,137 @@ mod tests {
         assert_eq!((summary.executed, summary.resumed), (0, 6));
         assert_eq!(again, full);
         assert_eq!(std::fs::read_to_string(&manifest).unwrap().lines().count(), 7);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// The on-disk bytes of a manifest are its compatibility contract: a
+    /// manifest written by one build must resume on another.
+    #[test]
+    fn a_six_point_manifest_keeps_its_exact_bytes() {
+        let dir = std::env::temp_dir().join("wsan-campaign-pin");
+        let _ = std::fs::remove_dir_all(&dir);
+        let manifest = dir.join("m.manifest.jsonl");
+        let cfg =
+            CampaignConfig { jobs: 1, manifest: Some(manifest.clone()), ..Default::default() };
+        collect(&cfg, 6);
+        assert_eq!(
+            std::fs::read_to_string(&manifest).unwrap(),
+            concat!(
+                r#"{"format":"wsan-campaign-manifest","version":1,"campaign":"squares","fingerprint":380079420831793498,"points":6}"#,
+                "\n",
+                r#"["p0",0]"#,
+                "\n",
+                r#"["p1",1]"#,
+                "\n",
+                r#"["p2",4]"#,
+                "\n",
+                r#"["p3",9]"#,
+                "\n",
+                r#"["p4",16]"#,
+                "\n",
+                r#"["p5",25]"#,
+                "\n",
+            )
+        );
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// Truncating the manifest at every byte, as a crash could leave it:
+    /// a cut inside the header is a typed error, and every other cut
+    /// resumes the checkpoints it still holds whole, re-runs the rest, and
+    /// hands the consumer the uninterrupted sequence.
+    #[test]
+    fn a_crash_at_any_byte_resumes_to_the_uninterrupted_sequence() {
+        let dir = std::env::temp_dir().join("wsan-campaign-crash-sweep");
+        let _ = std::fs::remove_dir_all(&dir);
+        let manifest = dir.join("m.manifest.jsonl");
+        let cfg =
+            CampaignConfig { jobs: 1, manifest: Some(manifest.clone()), ..Default::default() };
+        let (full, _) = collect(&cfg, 6);
+        let bytes = std::fs::read(&manifest).unwrap();
+        let header_end = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+        let resume = CampaignConfig { resume: true, ..cfg };
+        for cut in 0..=bytes.len() {
+            std::fs::write(&manifest, &bytes[..cut]).unwrap();
+            let mut out = Vec::new();
+            let outcome = run("squares", &specs(6), &resume, square, |p, r| {
+                out.push((p.key.clone(), r));
+            });
+            if cut < header_end {
+                assert!(
+                    matches!(outcome, Err(CampaignError::Manifest { .. })),
+                    "cut {cut}: {outcome:?}"
+                );
+                continue;
+            }
+            let whole = bytes[..cut].iter().filter(|&&b| b == b'\n').count() - 1;
+            let summary = outcome.unwrap_or_else(|e| panic!("cut {cut}: {e}"));
+            assert_eq!((summary.resumed, summary.executed), (whole, 6 - whole), "cut {cut}");
+            assert_eq!(out, full, "cut {cut}");
+        }
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn dropped_checkpoints_re_run_on_resume() {
+        let dir = std::env::temp_dir().join("wsan-campaign-drop");
+        let _ = std::fs::remove_dir_all(&dir);
+        let manifest = dir.join("m.manifest.jsonl");
+        assert_eq!(drop_checkpoints(&manifest, |_: &u64| true), Ok(0));
+        let cfg =
+            CampaignConfig { jobs: 1, manifest: Some(manifest.clone()), ..Default::default() };
+        let (full, _) = collect(&cfg, 6);
+        let whole = std::fs::read_to_string(&manifest).unwrap();
+        assert_eq!(drop_checkpoints(&manifest, |r: &u64| r % 2 == 1), Ok(3));
+        // the header, then p0, p2 and p4
+        let lines: Vec<&str> = whole.lines().collect();
+        let kept: String = [0, 1, 3, 5].iter().flat_map(|&i| [lines[i], "\n"]).collect();
+        assert_eq!(std::fs::read_to_string(&manifest).unwrap(), kept);
+        let mut out = Vec::new();
+        let resume = CampaignConfig { resume: true, ..cfg };
+        let summary = run("squares", &specs(6), &resume, square, |p, r| {
+            out.push((p.key.clone(), r));
+        })
+        .unwrap();
+        assert_eq!((summary.resumed, summary.executed), (3, 3));
+        assert_eq!(out, full);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// A checkpoint whose write or sync fails stops the run with an I/O
+    /// error and leaves no bytes of itself behind: a resume replays exactly
+    /// the checkpoints written before it, runs the rest and ends with the
+    /// uninterrupted run's manifest.
+    #[test]
+    fn a_failed_checkpoint_leaves_the_manifest_resumable() {
+        let dir = std::env::temp_dir().join("wsan-campaign-failed-checkpoint");
+        let _ = std::fs::remove_dir_all(&dir);
+        let manifest = dir.join("m.manifest.jsonl");
+        let cfg =
+            CampaignConfig { jobs: 1, manifest: Some(manifest.clone()), ..Default::default() };
+        let (full, _) = collect(&cfg, 6);
+        let whole = std::fs::read(&manifest).unwrap();
+        let ends: Vec<usize> =
+            whole.iter().enumerate().filter(|&(_, &b)| b == b'\n').map(|(i, _)| i + 1).collect();
+        // the header and the checkpoints of p0 and p1
+        let (kept, p0_p1) = (ends[2], (ends[2] - ends[0]) as u64);
+        // p0 and p1 land, then p2 fails part-way through its write, or at
+        // its sync
+        for fault in [Fault::WriteAfter(p0_p1 + 3), Fault::SyncAfter(2)] {
+            let wrap = |log: LineLog| log.map_file(|f| Box::new(FailingFile::new(f, fault, false)));
+            let err = run_logged("squares", &specs(6), &cfg, wrap, square, |_, _| {}).unwrap_err();
+            assert!(matches!(err, CampaignError::Io { .. }), "{fault:?}: {err}");
+            assert_eq!(std::fs::read(&manifest).unwrap(), whole[..kept], "{fault:?}");
+            let resume = CampaignConfig { resume: true, ..cfg.clone() };
+            let mut out = Vec::new();
+            let summary = run("squares", &specs(6), &resume, square, |p, r| {
+                out.push((p.key.clone(), r));
+            })
+            .unwrap();
+            assert_eq!((summary.resumed, summary.executed), (2, 4), "{fault:?}");
+            assert_eq!(out, full, "{fault:?}");
+            assert_eq!(std::fs::read(&manifest).unwrap(), whole, "{fault:?}");
+        }
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -1,8 +1,11 @@
-//! FNV-1a 64, the workspace's one dependency-free digest.
+//! The workspace's dependency-free hashes: FNV-1a 64 and the SplitMix64
+//! finalizer.
 //!
-//! It pins determinism (stitched-schedule digests, golden plants and
-//! simulator reports) and identifies campaign manifests. It is not
-//! cryptographic: it detects drift, not tampering.
+//! FNV-1a pins determinism (stitched-schedule digests, golden plants and
+//! simulator reports) and identifies campaign manifests. [`splitmix64`]
+//! turns a seed into a well-mixed word, for seeds derived from a key such
+//! as a node pair. Neither is cryptographic: they detect drift, not
+//! tampering.
 
 /// An incremental FNV-1a 64 hasher: feeding bytes in several writes gives
 /// the digest of their concatenation.
@@ -35,6 +38,17 @@ impl Default for Fnv1a {
     }
 }
 
+/// The SplitMix64 finalizer (Steele, Lea and Flood, 2014): a bijection of
+/// `u64` in which every input bit flips each output bit with probability
+/// about one half. Callers fold their inputs into `x` first, each in its
+/// own way.
+#[inline]
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -49,5 +63,18 @@ mod tests {
         assert_eq!(digest(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(digest(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(digest(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn splitmix64_matches_the_reference_generator() {
+        // the first outputs of the reference SplitMix64 generator seeded
+        // with 0: state += 0x9E3779B97F4A7C15, then the finalizer
+        let mut state = 0u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            splitmix64(state)
+        };
+        assert_eq!(next(), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(next(), 0x6e78_9e6a_a1b9_65f4);
     }
 }

@@ -44,6 +44,7 @@ mod channel;
 mod error;
 pub mod fnv;
 mod graph;
+pub mod linelog;
 mod link;
 mod node;
 pub mod parallel;

@@ -14,6 +14,7 @@
 //! enumeration order and identical across runs and worker counts.
 
 use crate::channel::BAND_SIZE;
+use crate::fnv::splitmix64;
 use crate::parallel::parallel_for_each_ordered;
 use crate::propagation::PropagationModel;
 use crate::{ChannelSet, CommGraph, NetError, NodeId, Position, Prr, ReuseGraph};
@@ -683,15 +684,13 @@ impl<'a> PairModel<'a> {
     }
 }
 
-/// Order-independent per-pair seed: a splitmix64-style finalizer over the
+/// Order-independent per-pair seed: the SplitMix64 finalizer over the
 /// base seed and both endpoints.
 fn pair_seed(seed: u64, a: usize, b: usize) -> u64 {
-    let mut x = seed
-        ^ (a as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ (b as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+    splitmix64(
+        seed ^ (a as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            ^ (b as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F),
+    )
 }
 
 /// Standard normal draw via Box–Muller (mirrors `testbeds::gaussian`). It

@@ -5,7 +5,7 @@
 //! garbage tail resumes to exactly the acknowledged state.
 
 use proptest::prelude::*;
-use wsan::core::gateway::journal::JournalHeader;
+use wsan::core::gateway::journal::{JournalError, JournalHeader};
 use wsan::core::gateway::service::GatewayService;
 use wsan::core::gateway::{FlowSpec, GatewayConfig, GatewayState};
 use wsan::core::{export, NetworkModel, ReuseConservatively, Scheduler};
@@ -222,4 +222,74 @@ fn mismatched_journal_header_is_refused() {
     let err = other.journal_resume(&path).unwrap_err();
     assert!(err.to_string().contains("journal header"), "{err}");
     std::fs::remove_file(&path).unwrap();
+}
+
+/// Truncating a seeded journal at every byte, as a crash could leave it: a
+/// cut inside the header is a typed error, and every other cut resumes to
+/// exactly the state the acknowledged records it still holds whole built,
+/// with the torn bytes cut from disk.
+#[test]
+fn a_crash_at_any_byte_resumes_to_a_committed_prefix() {
+    use rand::{Rng, SeedableRng};
+    let (mut svc, path) = service("sweep");
+    svc.journal_create(&path).unwrap();
+    let snapshot = |svc: &GatewayService| {
+        format!("{:?}\n{}", svc.state().flow_names(), export::to_csv(svc.state().schedule()))
+    };
+    // `states[k]`: the state after the first `k` acknowledged operations
+    let mut states = vec![snapshot(&svc)];
+    let mut rng = rand::rngs::StdRng::seed_from_u64(28);
+    for i in 0..200 {
+        let period = [32u32, 64, 128][rng.gen_range(0..3usize)];
+        let deadline = rng.gen_range(period / 2..=period);
+        let names: Vec<String> = svc.state().flow_names().iter().map(|s| s.to_string()).collect();
+        let line = match (rng.gen_range(0..6u32), names.is_empty()) {
+            (4, false) => {
+                let name = &names[rng.gen_range(0..names.len())];
+                format!(r#"{{"op":"remove_flow","name":"{name}"}}"#)
+            }
+            (5, false) => {
+                let name = &names[rng.gen_range(0..names.len())];
+                format!(
+                    r#"{{"op":"update_rate","name":"{name}","period":{period},"deadline":{deadline}}}"#
+                )
+            }
+            _ => format!(
+                r#"{{"op":"add_flow","name":"f{i}","source":{},"dest":{},"period":{period},"deadline":{deadline}}}"#,
+                rng.gen_range(0..8usize),
+                rng.gen_range(0..8usize),
+            ),
+        };
+        if svc.handle_line(&line).contains("\"ok\":true") {
+            states.push(snapshot(&svc));
+            if states.len() == 12 {
+                break;
+            }
+        }
+    }
+    assert_eq!(states.len(), 12, "the script must journal 11 records");
+    drop(svc);
+
+    let bytes = std::fs::read(&path).unwrap();
+    let header_end = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+    let (_, cut_path) = service("sweep-cut");
+    for cut in 0..=bytes.len() {
+        std::fs::write(&cut_path, &bytes[..cut]).unwrap();
+        let (mut restored, _) = service("unused");
+        let outcome = restored.journal_resume(&cut_path);
+        if cut < header_end {
+            assert!(
+                matches!(outcome, Err(JournalError::Corrupt { line: 1, .. })),
+                "cut {cut}: {outcome:?}"
+            );
+            continue;
+        }
+        let whole = bytes[..cut].iter().filter(|&&b| b == b'\n').count() - 1;
+        assert_eq!(outcome.unwrap_or_else(|e| panic!("cut {cut}: {e}")), whole, "cut {cut}");
+        assert_eq!(snapshot(&restored), states[whole], "cut {cut}");
+        let committed = bytes[..cut].iter().rposition(|&b| b == b'\n').unwrap() + 1;
+        assert_eq!(std::fs::metadata(&cut_path).unwrap().len(), committed as u64, "cut {cut}");
+    }
+    std::fs::remove_file(&path).unwrap();
+    std::fs::remove_file(&cut_path).unwrap();
 }
