@@ -91,6 +91,16 @@ echo "$sharded_list" | grep -q "dropped_checkpoints_re_run_on_resume"
 churn_list="$(cargo test -q --test gateway_churn -- --list)"
 echo "$churn_list" | grep -q "a_crash_at_any_byte_resumes_to_a_committed_prefix"
 
+echo "==> one gateway commit path: truncation, retire, revert and always-on validation suites run in the default pass"
+echo "$validate_list" | grep -q "truncate_equals_a_fresh_replay_of_the_prefix"
+echo "$validate_list" | grep -q "retire_re_places_from_the_first_crossing_flow"
+echo "$validate_list" | grep -q "revert_takes_back_the_last_operation"
+echo "$validate_list" | grep -q "validation_guard_rejects_entries_out_of_flow_order"
+echo "$validate_list" | grep -q "a_failed_journal_append_takes_the_operation_back"
+echo "$validate_list" | grep -q "a_failed_retire_append_keeps_the_link"
+cli_list="$(cargo test -q -p wsan-cli -- --list)"
+echo "$cli_list" | grep -q "emitted_schedules_are_validated"
+
 echo "==> busy-slot-vs-every-slot sim equivalence suite runs in the default pass"
 eq_list="$(cargo test -q -p wsan-sim --test engine_equivalence -- --list)"
 echo "$eq_list" | grep -q "dense_contract_run_is_byte_identical"
@@ -206,14 +216,16 @@ rm -rf "$fresh_bench_dir"
 
 echo "==> gateway crash/replay smoke (wsan serve, kill -9 mid-stream)"
 gws_dir="$(mktemp -d)"
-# the operation stream, split across the crash point
+# the operation stream, split across the crash point; the retire evicts
+# the mid-order flow a (route 0-2-5) and re-places c below it
 cat > "$gws_dir/before.jsonl" <<'EOF'
 {"op":"add_flow","name":"a","source":0,"dest":5,"period":64,"deadline":48}
 {"op":"add_flow","name":"b","source":3,"dest":9,"period":64,"deadline":40}
 {"op":"add_flow","name":"c","source":10,"dest":2,"period":128,"deadline":96}
+{"op":"retire_link","tx":2,"rx":5}
 EOF
 cat > "$gws_dir/after.jsonl" <<'EOF'
-{"op":"update_rate","name":"a","period":128,"deadline":100}
+{"op":"update_rate","name":"c","period":64,"deadline":60}
 {"op":"remove_flow","name":"b"}
 {"op":"add_flow","name":"d","source":7,"dest":1,"period":128,"deadline":64}
 EOF
@@ -232,13 +244,14 @@ mkfifo "$gws_dir/in.fifo"
 gws_pid=$!
 exec 9> "$gws_dir/in.fifo"
 cat "$gws_dir/before.jsonl" >&9
-# wait for all three acks: a written response means the WAL record is fsynced
+# wait for all four acks: a written response means the WAL record is fsynced
 gws_acked=0
 for _ in $(seq 1 100); do
-    if [ "$(wc -l < "$gws_dir/crash.out")" -ge 3 ]; then gws_acked=1; break; fi
+    if [ "$(wc -l < "$gws_dir/crash.out")" -ge 4 ]; then gws_acked=1; break; fi
     sleep 0.1
 done
 test "$gws_acked" -eq 1
+grep -q '"op":"retire_link","seq":4,"path":"suffix:1","evicted":\["a"\]' "$gws_dir/crash.out"
 kill -9 "$gws_pid" 2> /dev/null || true
 wait "$gws_pid" 2> /dev/null || true
 exec 9>&-

@@ -20,7 +20,7 @@ use serde::Serialize;
 use std::process::ExitCode;
 use wsan_bench::harness::{median_ns, timed, BenchArgs};
 use wsan_bench::{run_main, BenchError};
-use wsan_core::gateway::{FlowSpec, GatewayConfig, GatewayState};
+use wsan_core::gateway::{DeltaPath, FlowSpec, GatewayConfig, GatewayState};
 use wsan_core::{NetworkModel, ReuseConservatively, Scheduler};
 use wsan_flow::Period;
 use wsan_net::{routing, testbeds, ChannelId, NodeId, Prr};
@@ -111,26 +111,31 @@ fn main() -> ExitCode {
             topo.node_count()
         );
 
-        // `tail-*`: newcomers carry the laxest deadline, sort below every
-        // incumbent, and ride the pure suffix path — the gateway's common
-        // "add one more monitoring flow" case. `mid-40`/`mixed-80`:
-        // newcomers tie the incumbents' deadline and insert mid-order,
-        // re-placing about half the set. These sit near parity with the
-        // bare recompute comparator: the gap is admission bookkeeping
-        // (candidate clone, flow-set rebuild, prefix replay) that the
-        // comparator does not pay, not wasted scheduling. Every such
+        // `tail-*`: newcomers sort below every incumbent and below each
+        // other — their deadlines rise one slot per newcomer up to the
+        // period — so each admission is a pure tail append: the gateway's
+        // common "add one more monitoring flow" case. `mid-40`/`mixed-80`:
+        // newcomers tie the incumbents' deadline and insert mid-order by
+        // source index, re-placing about half the set. Every such
         // admission re-places only its suffix, however early in the
         // timeline that suffix's placements start.
-        for &(name, preload, admissions, preload_deadline, admit_deadline) in &[
-            ("tail-20", 20usize, 10usize, 96u32, 128u32),
-            ("tail-40", 40, 10, 96, 128),
-            ("tail-80", 80, 10, 96, 128),
-            ("mid-40", 40, 10, 112, 112),
-            ("mixed-80", 80, 10, 128, 128),
+        for &(name, preload, admissions, preload_deadline, admit_deadline, rising) in &[
+            ("tail-20", 20usize, 10usize, 96u32, 128u32, true),
+            ("tail-40", 40, 10, 96, 128, true),
+            ("tail-80", 80, 10, 96, 128, true),
+            ("mid-40", 40, 10, 112, 112, false),
+            ("mixed-80", 80, 10, 128, 128, false),
         ] {
             let mut specs = make_specs(&comm, preload, preload_deadline);
             specs
                 .extend(make_specs(&comm, preload + admissions, admit_deadline).split_off(preload));
+            if rising {
+                for (spec, deadline) in
+                    specs[preload..].iter_mut().rev().zip((0..=admit_deadline).rev())
+                {
+                    spec.deadline_slots = deadline;
+                }
+            }
             if specs.len() < preload + admissions {
                 return Err(BenchError::Run(format!(
                     "scenario {name}: only {} routable specs",
@@ -152,8 +157,14 @@ fn main() -> ExitCode {
                 let mut admitted = 0u64;
                 for (j, spec) in specs[preload..].iter().enumerate() {
                     let (elapsed, outcome) = timed(|| gw.add_flow(&format!("a{j}"), spec.clone()));
-                    if outcome.is_err() {
+                    let Ok(admission) = outcome else {
                         continue; // infeasible newcomer: not an admission
+                    };
+                    if rising && admission.path != (DeltaPath::Suffix { from: gw.len() - 1 }) {
+                        return Err(BenchError::Run(format!(
+                            "scenario {name}: admission a{j} took path {}, not a tail append",
+                            admission.path
+                        )));
                     }
                     delta_ns += elapsed;
                     admitted += 1;

@@ -1,7 +1,7 @@
 //! The `wsan` subcommands.
 
 use crate::args::Args;
-use wsan_core::{metrics, repair, NetworkModel};
+use wsan_core::{metrics, repair, validate, NetworkModel, Schedule};
 use wsan_detect::LinkVerdict;
 use wsan_expr::detection::{evaluate as detection, DetectionConfig};
 use wsan_expr::recovery::{campaign, SupervisorConfig};
@@ -34,10 +34,10 @@ pub const USAGE: &str = "usage:
                                                 # (all 16 channels unless --channels given)
   wsan serve    --testbed <indriya|wustl> [--algo nr|ra|rc] [--rho N]
                 [--channels a-b] [--seed N] [--prr X]
-                [--journal FILE | --resume-journal FILE] [--paranoid]
+                [--journal FILE | --resume-journal FILE]
                 [--deadline-us N] [--listen SOCKET]
                 [--status-socket SOCKET]        # live status/metrics/flightrec plane
-                                                # JSONL gateway on stdin/socket
+                                                # JSONL gateway on stdin/socket; every delta validated
   wsan status   --socket SOCKET [--query status|metrics|flightrec]
                                                 # one-shot status-plane client
   wsan trace export --in DUMP.jsonl [--out FILE] [--chrome]
@@ -498,6 +498,7 @@ fn cmd_schedule(args: &Args) -> Result<(), String> {
     }
     match algo.build().schedule(&set, &model) {
         Ok(schedule) => {
+            check_schedule(&schedule, &set, &model, algo)?;
             let m = metrics::compute(&schedule, &model);
             println!("{algo}: SCHEDULABLE — {} transmissions placed", schedule.entry_count());
             println!("  cells without reuse: {:.1}%", 100.0 * m.no_reuse_fraction());
@@ -519,6 +520,21 @@ fn cmd_schedule(args: &Args) -> Result<(), String> {
             Ok(())
         }
     }
+}
+
+/// Runs the independent validator, at the algorithm's reuse floor, on a
+/// schedule about to be printed or written, and refuses it with the first
+/// violation.
+fn check_schedule(
+    schedule: &Schedule,
+    set: &FlowSet,
+    model: &NetworkModel,
+    algo: Algorithm,
+) -> Result<(), String> {
+    validate::check(schedule, set, model, algo.reuse_floor()).map_err(|violations| {
+        let first = violations.first().map(ToString::to_string).unwrap_or_default();
+        format!("{algo} produced a schedule with {} violation(s), first: {first}", violations.len())
+    })
 }
 
 fn cmd_simulate(args: &Args) -> Result<(), String> {
@@ -581,6 +597,7 @@ fn cmd_export(args: &Args) -> Result<(), String> {
         .build()
         .schedule(&set, &model)
         .map_err(|e| format!("{algo} cannot schedule this workload: {e}"))?;
+    check_schedule(&schedule, &set, &model, algo)?;
     let csv = wsan_core::export::to_csv(&schedule);
     match args.get("out") {
         Some(path) if !path.is_empty() => {
@@ -904,6 +921,29 @@ mod tests {
         let err =
             run(&["schedule", "--testbed", "wustl", "--flows", "8", "--zap", "1"]).unwrap_err();
         assert!(err.contains("--zap"));
+    }
+
+    /// What `wsan schedule` and `wsan export` emit passes the validator at
+    /// the algorithm's reuse floor; a schedule missing a transmission is
+    /// refused with its first violation.
+    #[test]
+    fn emitted_schedules_are_validated() {
+        let args =
+            Args::parse(&["--testbed", "wustl", "--flows", "8", "--seed", "3"].map(String::from))
+                .unwrap();
+        let topo = load_testbed(&args).unwrap();
+        let (set, model) = build_workload(&args, &topo, &channels_of(&args).unwrap()).unwrap();
+        for algo in [Algorithm::Nr, Algorithm::Ra { rho: 2 }, Algorithm::Rc { rho_t: 2 }] {
+            let schedule = algo.build().schedule(&set, &model).unwrap();
+            check_schedule(&schedule, &set, &model, algo).unwrap();
+            let mut short =
+                Schedule::new(schedule.horizon(), schedule.channel_count(), schedule.node_count());
+            for e in &schedule.entries()[1..] {
+                short.place(e.slot, e.offset, e.tx);
+            }
+            let err = check_schedule(&short, &set, &model, algo).unwrap_err();
+            assert!(err.contains("1 violation(s), first: flow 0"), "{algo}: {err}");
+        }
     }
 
     #[test]

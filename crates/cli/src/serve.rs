@@ -3,7 +3,8 @@
 //! Reads JSONL requests (`add_flow`, `remove_flow`, `update_rate`,
 //! `retire_link`, `status`, `export`, `shutdown`) from stdin — or from a
 //! Unix socket with `--listen` — and answers one JSON response per line.
-//! Every acknowledged mutation is `fsync`ed to the write-ahead journal
+//! Every delta result is validated before it is served, and every
+//! acknowledged mutation is `fsync`ed to the write-ahead journal
 //! (`--journal`), so a crashed gateway restarted with `--resume-journal`
 //! replays to exactly the schedule it acknowledged. See
 //! `wsan_core::gateway` for the delta-scheduling and shedding semantics.
@@ -45,7 +46,6 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<(), String> {
             "rho",
             "journal",
             "resume-journal",
-            "paranoid",
             "deadline-us",
             "listen",
             "status-socket",
@@ -128,11 +128,7 @@ fn build_service(args: &Args) -> Result<GatewayService, String> {
         other => return Err(format!("unknown algorithm '{other}' (nr|ra|rc)")),
     };
 
-    let config = GatewayConfig {
-        rho_t: algorithm.reuse_floor(),
-        paranoid: args.has("paranoid"),
-        ..GatewayConfig::default()
-    };
+    let config = GatewayConfig { rho_t: algorithm.reuse_floor(), ..GatewayConfig::default() };
     let state = GatewayState::new(model, algorithm.build(), config);
 
     let (lo, hi) = args.channel_range()?;

@@ -288,6 +288,16 @@ impl Journal {
     pub fn path(&self) -> &Path {
         self.log.path()
     }
+
+    /// Puts `wrap(file)` in front of the journal's file: the seam through
+    /// which the service's tests inject failing writes and syncs.
+    #[cfg(test)]
+    pub(super) fn map_file(
+        self,
+        wrap: impl FnOnce(Box<dyn wsan_net::linelog::LogFile>) -> Box<dyn wsan_net::linelog::LogFile>,
+    ) -> Self {
+        Journal { log: self.log.map_file(wrap), ..self }
+    }
 }
 
 fn parse_line<T: Deserialize>(raw: &[u8], line_no: usize) -> Result<T, JournalError> {

@@ -11,9 +11,13 @@
 //!   operation disturbs and re-place only the flows from there down
 //!   ([`Scheduler::schedule_onto`]), keeping every higher-priority flow's
 //!   cells untouched;
-//! * [`GatewayState::retire_links`] delegates to the
-//!   [`recovery`](crate::recovery) repair→reschedule ladder, evicting the
-//!   flows routed over the dead link and rescheduling the survivors.
+//! * [`GatewayState::retire_links`] evicts the flows routed over a dead
+//!   link and re-places the survivors from the first evicted flow down.
+//!
+//! All four change state through one commit path: the prefix of the
+//! unchanged higher-priority flows is the current schedule copied into a
+//! recycled buffer and cut back with `Schedule::truncate`, the scheduler
+//! re-places the rest, and the result is validated before it is served.
 //!
 //! **Why the delta is exact.** The fixed-priority engine processes flows one
 //! at a time into a growing schedule; entries are grouped contiguously by
@@ -27,16 +31,15 @@
 //!
 //! **Feasibility ladder.** When the delta run reports the set unschedulable,
 //! flows are shed in *inverse Deadline-Monotonic order* (longest relative
-//! deadline first), exactly like
-//! [`recovery::recover`](crate::recovery::recover): the least-urgent flows
-//! are sacrificed, and if the newcomer is itself the least urgent it is
-//! the one rejected — the operation then fails without touching state.
-//! Every operation is atomic: on any error the previous schedule keeps
-//! serving.
+//! deadline first), exactly like [`crate::recovery::recover`]: the
+//! least-urgent flows are sacrificed, and if the newcomer is itself the
+//! least urgent it is the one rejected — the operation then fails without
+//! touching state. Every operation is atomic: on any error the previous
+//! schedule keeps serving.
 //!
-//! In debug builds — and in release when [`GatewayConfig::paranoid`] is set
-//! — every accepted delta result is re-checked by the independent
-//! [`validate`] checker; a violation surfaces as
+//! Every accepted delta result, in every build, is re-checked by the
+//! independent [`validate`] checker, which also confirms the flow-grouped
+//! entry order the next truncation relies on; a violation surfaces as
 //! [`ScheduleError::Inconsistent`] instead of a corrupt schedule being
 //! served.
 //!
@@ -56,13 +59,9 @@ use wsan_net::{DirectedLink, Route};
 /// Tunables of a [`GatewayState`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct GatewayConfig {
-    /// Reuse hop-distance floor used when validating delta results (and for
-    /// link-retirement recovery). `None` enforces the NR contract — no cell
-    /// is ever shared.
+    /// Reuse hop-distance floor every delta result is validated at. `None`
+    /// enforces the NR contract — no cell is ever shared.
     pub rho_t: Option<u32>,
-    /// Re-check every delta result with [`validate::check`] in release
-    /// builds too (debug builds always check).
-    pub paranoid: bool,
     /// Hard cap on admitted flows.
     pub max_flows: usize,
     /// Hard cap on the hyperperiod (slots) an admission may create.
@@ -75,7 +74,6 @@ impl Default for GatewayConfig {
     fn default() -> Self {
         GatewayConfig {
             rho_t: Some(2),
-            paranoid: false,
             max_flows: 4096,
             max_hyperperiod: 1 << 20,
             max_reschedules: 64,
@@ -106,8 +104,6 @@ pub enum DeltaPath {
     },
     /// Full recompute (hyperperiod changed, or the change was at the top).
     Full,
-    /// The [`recovery`](crate::recovery) ladder ran (link retirement).
-    Recovery,
 }
 
 impl fmt::Display for DeltaPath {
@@ -116,7 +112,6 @@ impl fmt::Display for DeltaPath {
             DeltaPath::Unchanged => write!(f, "unchanged"),
             DeltaPath::Suffix { from } => write!(f, "suffix:{from}"),
             DeltaPath::Full => write!(f, "full"),
-            DeltaPath::Recovery => write!(f, "recovery"),
         }
     }
 }
@@ -243,10 +238,22 @@ pub struct GatewayState {
     schedule: Schedule,
     retired: HashSet<DirectedLink>,
     next_seq: u64,
-    /// Displaced schedule kept as a clone target: `prefix_schedule` copies
-    /// into it with `clone_from`, reusing its cell allocations instead of
-    /// allocating a fresh grid on every delta operation.
+    /// The schedule the last commit displaced. The next delta copies the
+    /// current schedule into it with `clone_from`, reusing its cell
+    /// allocations instead of allocating a fresh grid on every operation.
     scratch: Option<Schedule>,
+    /// What the last successful operation replaced, for
+    /// [`GatewayState::revert`].
+    undo: Option<Undo>,
+}
+
+#[derive(Default)]
+struct Undo {
+    /// The flow set and admission counter before a commit; the schedule
+    /// it displaced is in `scratch`.
+    committed: Option<(Vec<Admitted>, u64)>,
+    /// Links the operation added to the retired set.
+    retired: Vec<DirectedLink>,
 }
 
 impl fmt::Debug for GatewayState {
@@ -279,6 +286,7 @@ impl GatewayState {
             retired: HashSet::new(),
             next_seq: 0,
             scratch: None,
+            undo: None,
         }
     }
 
@@ -364,11 +372,7 @@ impl GatewayState {
     ///
     /// [`GatewayError::UnknownFlow`] when the name is not admitted.
     pub fn remove_flow(&mut self, name: &str) -> Result<DeltaReport, GatewayError> {
-        let pos = self
-            .admitted
-            .iter()
-            .position(|a| a.name == name)
-            .ok_or_else(|| GatewayError::UnknownFlow { name: name.to_string() })?;
+        let pos = self.position(name)?;
         let mut candidate = self.admitted.clone();
         candidate.remove(pos);
         self.commit(candidate, pos, None)
@@ -387,11 +391,7 @@ impl GatewayState {
         period: Period,
         deadline_slots: u32,
     ) -> Result<DeltaReport, GatewayError> {
-        let pos = self
-            .admitted
-            .iter()
-            .position(|a| a.name == name)
-            .ok_or_else(|| GatewayError::UnknownFlow { name: name.to_string() })?;
+        let pos = self.position(name)?;
         let mut entry = self.admitted[pos].clone();
         entry.spec.period = period;
         entry.spec.deadline_slots = deadline_slots;
@@ -406,60 +406,55 @@ impl GatewayState {
 
     /// Retires `links` (dead radio links): future admissions may not route
     /// over them, flows currently crossing one are evicted, and the
-    /// survivors are recovered through the
-    /// [`recovery::recover`](crate::recovery::recover) repair→reschedule
-    /// ladder.
+    /// survivors are re-placed from the first evicted flow down, shedding
+    /// like any other operation if they no longer fit.
     ///
     /// # Errors
     ///
-    /// [`GatewayError::Schedule`] if recovery rejects the state as
-    /// inconsistent (the previous schedule keeps serving).
+    /// [`GatewayError::Infeasible`] when the reschedule budget runs out,
+    /// [`GatewayError::Schedule`] when the result fails validation. The
+    /// state, retired set included, is then unchanged.
     pub fn retire_links(&mut self, links: &[DirectedLink]) -> Result<DeltaReport, GatewayError> {
-        for l in links {
-            self.retired.insert(*l);
-        }
-        let set = self.flow_set();
-        let crossing = set.iter().any(|f| f.links().iter().any(|l| links.contains(l)));
-        if !crossing {
-            return Ok(self.report(DeltaPath::Unchanged, Vec::new(), 0));
-        }
-        let policy = crate::recovery::RecoveryPolicy {
-            rho_t: self.config.rho_t.unwrap_or(1),
-            max_reschedules: self.config.max_reschedules,
+        let crosses = |a: &Admitted| a.spec.route.links().any(|l| links.contains(&l));
+        let report = match self.admitted.iter().position(crosses) {
+            None => {
+                self.undo = Some(Undo::default());
+                self.report(DeltaPath::Unchanged, Vec::new(), 0)
+            }
+            Some(first) => {
+                let (crossing, survivors): (Vec<Admitted>, Vec<Admitted>) =
+                    self.admitted.iter().cloned().partition(crosses);
+                let mut report = self.commit(survivors, first, None)?;
+                report.evicted.splice(0..0, crossing.into_iter().map(|a| a.name));
+                report
+            }
         };
-        let outcome = crate::recovery::recover(
-            &self.schedule,
-            &self.model,
-            &set,
-            self.scheduler.as_ref(),
-            &policy,
-            &[],
-            links,
-        )?;
-        let evicted: Vec<String> =
-            outcome.shed.iter().map(|id| self.admitted[id.index()].name.clone()).collect();
-        let candidate: Vec<Admitted> =
-            outcome.survivors.iter().map(|id| self.admitted[id.index()].clone()).collect();
-        // Normalize the empty state: recovery keeps the old horizon for an
-        // empty schedule, a fresh gateway uses horizon 1.
-        let schedule = if candidate.is_empty() {
-            Schedule::new(1, self.model.channels(), self.model.node_count())
-        } else {
-            outcome.schedule
-        };
-        self.check_result(&schedule, &outcome.flows)?;
-        self.admitted = candidate;
-        self.schedule = schedule;
-        Ok(self.report(DeltaPath::Recovery, evicted, outcome.reschedules))
+        let added = links.iter().copied().filter(|l| self.retired.insert(*l)).collect();
+        self.undo.as_mut().expect("a successful operation leaves its undo").retired = added;
+        Ok(report)
     }
 
-    /// Retires a single link. See [`GatewayState::retire_links`].
-    ///
-    /// # Errors
-    ///
-    /// See [`GatewayState::retire_links`].
-    pub fn retire_link(&mut self, link: DirectedLink) -> Result<DeltaReport, GatewayError> {
-        self.retire_links(&[link])
+    /// Takes back the last successful operation, flow set, schedule and
+    /// retired set alike. The service calls this right after an operation
+    /// whose journal append failed, so the live state never holds an
+    /// operation a restart would not replay. Once a later operation has
+    /// reached the scheduler there is nothing left to take back.
+    fn revert(&mut self) {
+        let Some(undo) = self.undo.take() else { return };
+        for link in &undo.retired {
+            self.retired.remove(link);
+        }
+        if let Some((admitted, next_seq)) = undo.committed {
+            (self.admitted, self.next_seq) = (admitted, next_seq);
+            std::mem::swap(&mut self.schedule, self.scratch.as_mut().expect("kept by the commit"));
+        }
+    }
+
+    fn position(&self, name: &str) -> Result<usize, GatewayError> {
+        self.admitted
+            .iter()
+            .position(|a| a.name == name)
+            .ok_or_else(|| GatewayError::UnknownFlow { name: name.to_string() })
     }
 
     fn check_spec(&self, spec: &FlowSpec) -> Result<(), GatewayError> {
@@ -489,35 +484,24 @@ impl GatewayState {
         Ok(())
     }
 
-    /// Rebuilds the schedule prefix holding exactly the placements of flows
-    /// `0..from`. Entries are grouped contiguously by flow in placement
-    /// order, so replaying the filtered entries reproduces the prefix run.
+    /// The schedule prefix holding exactly the placements of flows
+    /// `0..from`: the current schedule, copied into the recycled scratch
+    /// buffer (`clone_from` reuses its cell allocations) and cut back to
+    /// its first entry of flow `from`. Entries are grouped by flow in
+    /// priority order, which [`GatewayState::check_result`] confirms for
+    /// every schedule served. A new horizon has no prefix.
     fn prefix_schedule(&mut self, horizon: u32, from: usize) -> Schedule {
-        if from > 0 {
-            debug_assert_eq!(horizon, self.schedule.horizon());
-            // Appending below every scheduled flow (the common admission
-            // case): the prefix is the whole current schedule. Copy it into
-            // the recycled scratch buffer — `clone_from` reuses the cell
-            // allocations, so steady-state churn pays a memcpy, not ~one
-            // allocation per occupied cell.
-            if from >= self.admitted.len() {
-                return match self.scratch.take() {
-                    Some(mut buffer) => {
-                        buffer.clone_from(&self.schedule);
-                        buffer
-                    }
-                    None => self.schedule.clone(),
-                };
-            }
+        if horizon != self.schedule.horizon() {
+            return Schedule::new(horizon, self.model.channels(), self.model.node_count());
         }
-        let mut prefix = Schedule::new(horizon, self.model.channels(), self.model.node_count());
-        if from > 0 {
-            for e in self.schedule.entries() {
-                if e.tx.flow.index() < from {
-                    prefix.place(e.slot, e.offset, e.tx);
-                }
+        let mut prefix = match self.scratch.take() {
+            Some(mut buffer) => {
+                buffer.clone_from(&self.schedule);
+                buffer
             }
-        }
+            None => self.schedule.clone(),
+        };
+        prefix.truncate(self.schedule.entries().partition_point(|e| e.tx.flow.index() < from));
         prefix
     }
 
@@ -532,6 +516,8 @@ impl GatewayState {
         changed_from: usize,
         adding: Option<&str>,
     ) -> Result<DeltaReport, GatewayError> {
+        // the scratch buffer is about to be reused
+        self.undo = None;
         let old_horizon = self.schedule.horizon();
         let mut evicted: Vec<String> = Vec::new();
         let mut reschedules = 0u32;
@@ -557,7 +543,9 @@ impl GatewayState {
             match self.scheduler.schedule_onto(&set, &self.model, &self.sched_config, base, from) {
                 Ok(schedule) => {
                     self.check_result(&schedule, &set)?;
-                    self.admitted = candidate;
+                    let admitted = std::mem::replace(&mut self.admitted, candidate);
+                    self.undo =
+                        Some(Undo { committed: Some((admitted, self.next_seq)), retired: vec![] });
                     // the displaced schedule becomes the next clone target
                     self.scratch = Some(std::mem::replace(&mut self.schedule, schedule));
                     let path = if from == 0 { DeltaPath::Full } else { DeltaPath::Suffix { from } };
@@ -579,21 +567,24 @@ impl GatewayState {
         }
     }
 
-    /// Satellite guard: re-check a delta result with the independent
-    /// validator in debug builds, or always under `paranoid`. A violation
-    /// becomes [`ScheduleError::Inconsistent`] and the result is discarded.
+    /// Re-checks a delta result with the independent validator, and checks
+    /// that its entries are grouped by flow in priority order, which the
+    /// next delta's [`Schedule::truncate`] relies on. A failure becomes
+    /// [`ScheduleError::Inconsistent`] and the result is discarded.
     fn check_result(&self, schedule: &Schedule, set: &FlowSet) -> Result<(), GatewayError> {
-        if !(cfg!(debug_assertions) || self.config.paranoid) {
-            return Ok(());
+        let inconsistent =
+            |reason: String| GatewayError::Schedule(ScheduleError::Inconsistent { reason });
+        if schedule.entries().windows(2).any(|w| w[1].tx.flow < w[0].tx.flow) {
+            return Err(inconsistent(
+                "delta result is not grouped by flow in priority order".into(),
+            ));
         }
         validate::check(schedule, set, &self.model, self.config.rho_t).map_err(|violations| {
             let first = violations.first().map(ToString::to_string).unwrap_or_default();
-            GatewayError::Schedule(ScheduleError::Inconsistent {
-                reason: format!(
-                    "delta result failed validation with {} violation(s), first: {first}",
-                    violations.len()
-                ),
-            })
+            inconsistent(format!(
+                "delta result failed validation with {} violation(s), first: {first}",
+                violations.len()
+            ))
         })
     }
 
@@ -798,14 +789,17 @@ mod tests {
         assert_oracle_nr(&gw);
     }
 
+    fn link(a: usize, b: usize) -> DirectedLink {
+        DirectedLink::new(NodeId::new(a), NodeId::new(b))
+    }
+
     #[test]
     fn retire_link_evicts_crossing_flows_and_blocks_new_routes() {
         let mut gw = rc_gateway(10, 2);
         gw.add_flow("a", spec(&[0, 1, 2], 100, 80)).unwrap();
         gw.add_flow("b", spec(&[4, 5], 100, 90)).unwrap();
-        let dead = DirectedLink::new(NodeId::new(1), NodeId::new(2));
-        let r = gw.retire_link(dead).unwrap();
-        assert_eq!(r.path, DeltaPath::Recovery);
+        let r = gw.retire_links(&[link(1, 2)]).unwrap();
+        assert_eq!(r.path, DeltaPath::Full); // the crossing flow was at the top
         assert_eq!(r.evicted, vec!["a".to_string()]);
         assert_eq!(gw.flow_names(), vec!["b"]);
         assert_oracle(&gw);
@@ -815,8 +809,80 @@ mod tests {
             Err(GatewayError::RetiredLink { .. })
         ));
         // retiring an uncrossed link is a no-op
-        let r = gw.retire_link(DirectedLink::new(NodeId::new(7), NodeId::new(8))).unwrap();
+        let r = gw.retire_links(&[link(7, 8)]).unwrap();
         assert_eq!(r.path, DeltaPath::Unchanged);
+    }
+
+    /// A retire evicts exactly the flows crossing the dead links, in
+    /// priority order, and re-places the rest from the first of them down:
+    /// the higher-priority flows keep their cells and the result is the
+    /// full recompute. When the retire fails, nothing changes, the retired
+    /// set included.
+    #[test]
+    fn retire_re_places_from_the_first_crossing_flow() {
+        let mut gw = rc_gateway(12, 2);
+        gw.add_flow("h1", spec(&[0, 1], 100, 20)).unwrap();
+        gw.add_flow("h2", spec(&[2, 3], 100, 30)).unwrap();
+        gw.add_flow("m", spec(&[4, 5, 6], 100, 60)).unwrap();
+        gw.add_flow("l1", spec(&[8, 9], 100, 80)).unwrap();
+        gw.add_flow("l2", spec(&[6, 5], 100, 90)).unwrap();
+        let dead = [link(5, 6), link(6, 5)];
+
+        // out of reschedule budget: refused, state and retired set intact
+        let (names, schedule) = (gw.flow_names().join(","), gw.schedule().clone());
+        gw.config.max_reschedules = 0;
+        let err = gw.retire_links(&dead).unwrap_err();
+        assert!(matches!(err, GatewayError::Infeasible { .. }), "{err}");
+        assert_eq!(gw.flow_names().join(","), names);
+        assert_eq!(gw.schedule(), &schedule);
+        assert!(gw.retired().is_empty());
+
+        gw.config.max_reschedules = GatewayConfig::default().max_reschedules;
+        let r = gw.retire_links(&dead).unwrap();
+        assert_eq!(r.path, DeltaPath::Suffix { from: 2 });
+        assert_eq!(r.evicted, vec!["m".to_string(), "l2".to_string()]);
+        assert_eq!(r.reschedules, 1);
+        assert_eq!(gw.flow_names(), vec!["h1", "h2", "l1"]);
+        assert_eq!(gw.retired().len(), 2);
+        assert_oracle(&gw);
+    }
+
+    /// `revert` takes back the last successful operation of every kind:
+    /// flow set, schedule, admission sequence and retired set.
+    #[test]
+    fn revert_takes_back_the_last_operation() {
+        let mut gw = rc_gateway(10, 2);
+        gw.add_flow("a", spec(&[0, 1, 2], 100, 40)).unwrap();
+        gw.add_flow("b", spec(&[4, 5], 100, 80)).unwrap();
+        let snapshot = |gw: &GatewayState| {
+            (gw.flow_set(), gw.schedule().clone(), gw.next_seq, gw.retired().clone())
+        };
+        type Op = fn(&mut GatewayState) -> Result<DeltaReport, GatewayError>;
+        let ops: [Op; 6] = [
+            |gw| gw.add_flow("c", spec(&[6, 7], 100, 60)),
+            |gw| gw.add_flow("top", spec(&[6, 7], 200, 10)),
+            |gw| gw.remove_flow("a"),
+            |gw| gw.update_rate("b", Period::from_slots(100).unwrap(), 10),
+            |gw| gw.retire_links(&[link(1, 2)]),
+            |gw| gw.retire_links(&[link(8, 9)]),
+        ];
+        for (i, op) in ops.iter().enumerate() {
+            let before = snapshot(&gw);
+            op(&mut gw).unwrap();
+            gw.revert();
+            assert!(snapshot(&gw) == before, "op {i}");
+            // the reverted state keeps serving deltas that match a recompute
+            gw.add_flow("d", spec(&[6, 7], 100, 70)).unwrap();
+            assert_oracle(&gw);
+            gw.remove_flow("d").unwrap();
+        }
+        // a revert takes back one operation, not the one before it
+        gw.add_flow("d", spec(&[6, 7], 100, 70)).unwrap();
+        let with_d = snapshot(&gw);
+        gw.remove_flow("d").unwrap();
+        gw.revert();
+        gw.revert();
+        assert!(snapshot(&gw) == with_d);
     }
 
     #[test]
@@ -884,52 +950,71 @@ mod tests {
         }
     }
 
-    /// The validation guard rejects a corrupt delta result under
-    /// `paranoid` in every build, and under the plain config in debug
-    /// builds, leaving the flow set and schedule as they were. On a clean
-    /// engine the paranoid gateway serves exactly the plain one's schedule.
+    /// The validation guard rejects a corrupt delta result in every build,
+    /// leaving the flow set and schedule as they were.
     #[test]
     fn validation_guard_rejects_a_dropped_transmission() {
-        let paranoid = GatewayConfig { paranoid: true, ..GatewayConfig::default() };
         // A two-hop newcomer: without its last retry, its job holds three
         // transmissions for two links. A one-hop newcomer: without its
         // retry, its job reads as scheduled without retries, which the
         // two-hop incumbent's retries rule out.
         for newcomer in [&[4, 5, 6][..], &[4, 5]] {
-            for (config, guarded) in
-                [(paranoid.clone(), true), (GatewayConfig::default(), cfg!(debug_assertions))]
-            {
-                let mut gw = GatewayState::new(model(8, 2), Box::new(DropsOneTransmission), config);
-                gw.add_flow("a", spec(&[0, 1, 2], 100, 80)).unwrap();
-                let (flows, schedule) = (gw.flow_set(), gw.schedule().clone());
-                let result = gw.add_flow("b", spec(newcomer, 100, 90));
-                if guarded {
-                    assert!(
-                        matches!(
-                            result,
-                            Err(GatewayError::Schedule(ScheduleError::Inconsistent { .. }))
-                        ),
-                        "{newcomer:?}: {result:?}"
-                    );
-                    assert_eq!(gw.flow_set(), flows);
-                    assert_eq!(gw.schedule(), &schedule);
-                } else {
-                    // release builds validate only under `paranoid`
-                    assert!(result.is_ok(), "{newcomer:?}: {result:?}");
-                }
-            }
+            let mut gw = GatewayState::new(
+                model(8, 2),
+                Box::new(DropsOneTransmission),
+                GatewayConfig::default(),
+            );
+            gw.add_flow("a", spec(&[0, 1, 2], 100, 80)).unwrap();
+            let (flows, schedule) = (gw.flow_set(), gw.schedule().clone());
+            let result = gw.add_flow("b", spec(newcomer, 100, 90));
+            assert!(
+                matches!(result, Err(GatewayError::Schedule(ScheduleError::Inconsistent { .. }))),
+                "{newcomer:?}: {result:?}"
+            );
+            assert_eq!(gw.flow_set(), flows);
+            assert_eq!(gw.schedule(), &schedule);
+        }
+    }
+
+    /// RC that places the flows in reverse priority order: a valid
+    /// schedule, but not grouped the way the next truncation needs.
+    struct PlacesInReverse;
+
+    impl Scheduler for PlacesInReverse {
+        fn name(&self) -> &'static str {
+            "RC-reversed"
         }
 
-        let mut plain = rc_gateway(6, 2);
-        let mut checked =
-            GatewayState::new(model(6, 2), Box::new(ReuseConservatively::new(2)), paranoid);
-        for (i, route) in [&[0, 1, 2][..], &[3, 4, 5], &[1, 2, 3, 4]].into_iter().enumerate() {
-            let name = format!("f{i}");
-            assert_eq!(
-                plain.add_flow(&name, spec(route, 32, 24)).unwrap(),
-                checked.add_flow(&name, spec(route, 32, 24)).unwrap()
-            );
+        fn schedule_with(
+            &self,
+            flows: &FlowSet,
+            model: &NetworkModel,
+            config: &SchedulerConfig,
+        ) -> Result<Schedule, ScheduleError> {
+            let full = ReuseConservatively::new(2).schedule_with(flows, model, config)?;
+            let mut reversed =
+                Schedule::new(full.horizon(), full.channel_count(), full.node_count());
+            for flow in (0..flows.len()).rev() {
+                for e in full.entries().iter().filter(|e| e.tx.flow.index() == flow) {
+                    reversed.place(e.slot, e.offset, e.tx);
+                }
+            }
+            Ok(reversed)
         }
-        assert_eq!(plain.schedule(), checked.schedule());
+    }
+
+    /// The guard also refuses entries out of flow order, since cutting
+    /// such a schedule back to a prefix would keep the wrong placements.
+    #[test]
+    fn validation_guard_rejects_entries_out_of_flow_order() {
+        let mut gw =
+            GatewayState::new(model(8, 2), Box::new(PlacesInReverse), GatewayConfig::default());
+        gw.add_flow("a", spec(&[0, 1, 2], 100, 80)).unwrap();
+        let err = gw.add_flow("b", spec(&[4, 5], 100, 90)).unwrap_err();
+        let GatewayError::Schedule(ScheduleError::Inconsistent { reason }) = err else {
+            panic!("{err}")
+        };
+        assert!(reason.contains("not grouped by flow"), "{reason}");
+        assert_eq!(gw.flow_names(), vec!["a"]);
     }
 }

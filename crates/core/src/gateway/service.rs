@@ -11,6 +11,9 @@
 //!   appended to the [`journal`](super::journal) and `fsync`ed before the
 //!   response is emitted, so an acknowledged operation survives `kill -9`
 //!   and [`GatewayService::journal_resume`] replays it deterministically.
+//!   When the append fails, the operation is taken back: the gateway
+//!   state, its retired links and the routing graph are as they were
+//!   before the request, which the reply reports as not applied.
 //! * **Latency budget and load shedding** — with a per-request deadline
 //!   configured, an operation that overruns flips the service into an
 //!   overloaded state in which admissions that would rank at the bottom of
@@ -310,6 +313,9 @@ impl GatewayService {
                 }
             }
         }
+        // a retire replaces the routing graph: keep the old one in case the
+        // journal refuses the operation
+        let routing = matches!(op, GatewayOp::RetireLink { .. }).then(|| self.routing.clone());
         let started = Instant::now();
         let result = {
             let _admit_span = wsan_obs::enabled(wsan_obs::Level::Debug).then(|| {
@@ -335,38 +341,34 @@ impl GatewayService {
         }
         match result {
             Ok(report) => {
-                if let Some(m) = &self.metrics {
-                    m.applied.inc();
-                    m.evicted.add(report.evicted.len() as u64);
-                }
                 let _journal_span = (self.journal.is_some()
                     && wsan_obs::enabled(wsan_obs::Level::Debug))
                 .then(|| {
                     wsan_obs::span(wsan_obs::Level::Debug, "gateway.journal_fsync", Vec::new())
                 });
-                let seq = match &mut self.journal {
-                    Some(journal) => match journal.append(&op) {
-                        Ok(seq) => {
-                            if let Some(m) = &self.metrics {
-                                m.journal_records.inc();
-                            }
-                            Some(seq)
+                let seq = match self.journal.as_mut().map(|j| j.append(&op)).transpose() {
+                    Ok(seq) => seq,
+                    Err(e) => {
+                        // Not durable, so not applied: a restart would not
+                        // replay it, and the live state must not hold it.
+                        self.state.revert();
+                        if let Some(routing) = routing {
+                            self.routing = routing;
                         }
-                        Err(e) => {
-                            // The operation is applied in memory but not
-                            // durable: report it as failed so the client
-                            // does not rely on it surviving a restart.
-                            return error_response(
-                                Some(op.name()),
-                                "journal",
-                                &format!("operation applied but not durable: {e}"),
-                                false,
-                                None,
-                            );
-                        }
-                    },
-                    None => None,
+                        return error_response(
+                            Some(op.name()),
+                            "journal",
+                            &format!("operation not applied: {e}"),
+                            false,
+                            None,
+                        );
+                    }
                 };
+                if let Some(m) = &self.metrics {
+                    m.applied.inc();
+                    m.evicted.add(report.evicted.len() as u64);
+                    m.journal_records.add(u64::from(seq.is_some()));
+                }
                 ok_response(&op, seq, &report, elapsed, self.overloaded, budget_exceeded)
             }
             Err(e) => {
@@ -451,8 +453,10 @@ impl GatewayService {
                 }
                 let a = NodeId::new(*tx);
                 let b = NodeId::new(*rx);
+                let report =
+                    self.state.retire_links(&[DirectedLink::new(a, b), DirectedLink::new(b, a)])?;
                 self.remove_routing_edge(a, b);
-                self.state.retire_links(&[DirectedLink::new(a, b), DirectedLink::new(b, a)])
+                Ok(report)
             }
         }
     }
@@ -648,6 +652,7 @@ mod tests {
     use crate::test_util::path_graph;
     use crate::{NetworkModel, ReuseConservatively};
     use std::path::PathBuf;
+    use wsan_net::linelog::{FailingFile, Fault};
 
     fn line_network(nodes: usize) -> (NetworkModel, CommGraph) {
         let model = NetworkModel::from_reuse_graph(&path_graph(nodes), 2);
@@ -760,9 +765,8 @@ mod tests {
         assert!(resp.contains("\"validation\""), "{resp}");
     }
 
-    #[test]
-    fn retire_link_reroutes_future_admissions() {
-        // ring: 0-1-2-3-0 so an alternate route exists
+    /// A service on the ring 0-1-2-3-0, so every pair has two routes.
+    fn ring_service() -> GatewayService {
         let model = NetworkModel::from_reuse_graph(&path_graph(4), 2);
         let comm = CommGraph::from_edges(
             4,
@@ -778,7 +782,24 @@ mod tests {
             Box::new(ReuseConservatively::new(2)),
             GatewayConfig::default(),
         );
-        let mut svc = GatewayService::new(state, comm, JournalHeader::new("ring", "rc/2"));
+        GatewayService::new(state, comm, JournalHeader::new("ring", "rc/2"))
+    }
+
+    fn add_line(name: &str, source: usize, dest: usize) -> String {
+        format!(
+            r#"{{"op":"add_flow","name":"{name}","source":{source},"dest":{dest},"period":100,"deadline":80}}"#
+        )
+    }
+
+    /// Makes the journal's next append fail with `fault`.
+    fn fail_next_append(svc: &mut GatewayService, fault: Fault) {
+        let journal = svc.journal.take().expect("a journal is open");
+        svc.journal = Some(journal.map_file(|f| Box::new(FailingFile::new(f, fault, false))));
+    }
+
+    #[test]
+    fn retire_link_reroutes_future_admissions() {
+        let mut svc = ring_service();
         let resp = svc.handle_line("{\"op\":\"retire_link\",\"tx\":0,\"rx\":1}");
         assert!(resp.contains("\"ok\":true"), "{resp}");
         // 0 -> 1 must now route the long way round: 0-3-2-1
@@ -788,6 +809,60 @@ mod tests {
         assert!(resp.contains("\"ok\":true"), "{resp}");
         let spec = svc.state().spec("a").unwrap();
         assert_eq!(spec.route.hop_count(), 3, "route must avoid the retired link");
+    }
+
+    /// An admission whose journal append fails, by a short write or by a
+    /// failed sync, is taken back: the reply says it was not applied, the
+    /// flow set is unchanged, the next admission takes the sequence number
+    /// the failed one would have had, and a resume of the journal rebuilds
+    /// exactly the live schedule.
+    #[test]
+    fn a_failed_journal_append_takes_the_operation_back() {
+        for fault in [Fault::WriteAfter(20), Fault::SyncAfter(0)] {
+            let path = temp_path("failed-append");
+            let mut svc = service(8);
+            svc.journal_create(&path).unwrap();
+            let resp = svc.handle_line(&add_line("a", 0, 2));
+            assert!(resp.contains("\"ok\":true"), "{fault:?}: {resp}");
+            fail_next_append(&mut svc, fault);
+            let resp = svc.handle_line(&add_line("b", 3, 5));
+            assert!(resp.contains("\"kind\":\"journal\""), "{fault:?}: {resp}");
+            assert!(resp.contains("operation not applied"), "{fault:?}: {resp}");
+            assert_eq!(svc.state().flow_names(), vec!["a"], "{fault:?}");
+            let resp = svc.handle_line(&add_line("c", 4, 6));
+            assert!(resp.contains("\"ok\":true"), "{fault:?}: {resp}");
+            assert!(resp.contains("\"seq\":2"), "{fault:?}: {resp}");
+            let live = export::to_csv(svc.state().schedule());
+            drop(svc);
+
+            let mut restored = service(8);
+            assert_eq!(restored.journal_resume(&path).unwrap(), 2, "{fault:?}");
+            assert_eq!(export::to_csv(restored.state().schedule()), live, "{fault:?}");
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+
+    /// A retire whose journal append fails keeps the link: the flow
+    /// crossing it stays admitted, the retired set stays empty, and the
+    /// routing graph still routes over it.
+    #[test]
+    fn a_failed_retire_append_keeps_the_link() {
+        let path = temp_path("failed-retire");
+        let mut svc = ring_service();
+        svc.journal_create(&path).unwrap();
+        let resp = svc.handle_line(&add_line("a", 0, 1));
+        assert!(resp.contains("\"ok\":true"), "{resp}");
+        let schedule = svc.state().schedule().clone();
+        fail_next_append(&mut svc, Fault::SyncAfter(0));
+        let resp = svc.handle_line("{\"op\":\"retire_link\",\"tx\":0,\"rx\":1}");
+        assert!(resp.contains("\"kind\":\"journal\""), "{resp}");
+        assert_eq!(svc.state().flow_names(), vec!["a"]);
+        assert_eq!(svc.state().schedule(), &schedule);
+        assert!(svc.state().retired().is_empty());
+        let resp = svc.handle_line(&add_line("b", 0, 1));
+        assert!(resp.contains("\"ok\":true"), "{resp}");
+        assert_eq!(svc.state().spec("b").unwrap().route.hop_count(), 1);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub struct ScheduleEntry {
 ///   each occupant's endpoints, so checks touch a dense `DirectedLink`
 ///   slice instead of the wider [`ScheduledTx`] cell vec,
 /// * per-node generation counters that let external rank caches
-///   ([`crate::laxity::LaxityCache`]) invalidate lazily on [`Schedule::place`].
+///   ([`crate::laxity::LaxityCache`]) invalidate lazily on every change.
 #[derive(Debug)]
 pub struct Schedule {
     horizon: u32,
@@ -61,7 +61,7 @@ pub struct Schedule {
     /// `node_gen[node]` advances whenever the node's busy row changes;
     /// external per-pair rank caches compare it to detect staleness.
     node_gen: Vec<u32>,
-    /// Advances on every placement.
+    /// Advances on every placement and every removal.
     generation: u64,
 }
 
@@ -273,6 +273,35 @@ impl Schedule {
         self.entries.push(ScheduleEntry { slot, offset, tx });
     }
 
+    /// Cuts the schedule back to its first `len` entries, undoing the
+    /// later [`Schedule::place`] calls newest first: every index then
+    /// equals a fresh replay of those entries. Every node whose busy row
+    /// loses a slot gets a new generation, and so does the schedule.
+    ///
+    /// Exact for conflict-free entries, which is what `place` asserts:
+    /// clearing a node's busy bit in a slot assumes no other entry of the
+    /// slot uses the node.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        while self.entries.len() > len {
+            let ScheduleEntry { slot, offset, tx } = self.entries.pop().expect("len < entries");
+            let cell_index = slot as usize * self.channel_count + offset;
+            self.cells[cell_index].pop();
+            self.cell_links[cell_index].pop();
+            if self.cells[cell_index].is_empty() {
+                self.occupied_offsets[slot as usize] -= 1;
+                self.slot_full[(slot / 64) as usize] &= !(1u64 << (slot % 64));
+            }
+            for node in [tx.link.tx, tx.link.rx] {
+                let (w, b) = (node.index() / 64, node.index() % 64);
+                self.slot_busy[slot as usize * self.node_words + w] &= !(1u64 << b);
+                let (sw, sb) = ((slot / 64) as usize, slot % 64);
+                self.node_busy[node.index() * self.slot_words + sw] &= !(1u64 << sb);
+                self.node_gen[node.index()] = self.node_gen[node.index()].wrapping_add(1);
+            }
+            self.generation += 1;
+        }
+    }
+
     /// Number of transmissions already sharing `(slot, offset)` — the
     /// tie-break key when several offsets satisfy the constraints ("choose a
     /// channel with the fewest number of scheduled transmissions").
@@ -289,14 +318,14 @@ impl Schedule {
         })
     }
 
-    /// A counter advancing on every [`Schedule::place`]; external caches use
-    /// it to detect that the schedule changed at all.
+    /// A counter advancing on every placement and every removal; external
+    /// caches use it to detect that the schedule changed at all.
     pub fn generation(&self) -> u64 {
         self.generation
     }
 
-    /// Per-node change counter: advances whenever `node`'s busy row gains a
-    /// slot. Rank caches over pairs of busy rows compare these to rebuild
+    /// Per-node change counter: advances whenever `node`'s busy row gains
+    /// or loses a slot. Rank caches over pairs of busy rows compare these to rebuild
     /// lazily — a placement only invalidates rows of the two nodes it
     /// touches.
     pub(crate) fn node_generation(&self, node: NodeId) -> u32 {
@@ -476,8 +505,12 @@ impl Deserialize for Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsan_flow::FlowId;
-    use wsan_net::DirectedLink;
+    use crate::{NetworkModel, NoReuse, ReuseAggressively, ReuseConservatively, Scheduler};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use wsan_flow::{FlowId, FlowSetConfig, FlowSetGenerator, PeriodRange, TrafficPattern};
+    use wsan_net::{CommGraph, DirectedLink, ReuseGraph};
 
     fn n(i: usize) -> NodeId {
         NodeId::new(i)
@@ -697,5 +730,77 @@ mod tests {
         let json = serde_json::to_string(&s).unwrap();
         let bad = json.replace("\"slot\":3", "\"slot\":99");
         assert!(serde_json::from_str::<Schedule>(&bad).is_err());
+    }
+
+    /// A random connected network on 4–29 nodes: a spanning chain plus
+    /// chords, routing and reuse over the same edges.
+    fn random_network(rng: &mut StdRng) -> (CommGraph, ReuseGraph) {
+        let size = rng.gen_range(4..30);
+        let mut edges: Vec<_> = (0..size - 1).map(|i| (n(i), n(i + 1))).collect();
+        for _ in 0..rng.gen_range(0..size) {
+            let (a, b) = (rng.gen_range(0..size), rng.gen_range(0..size));
+            if a != b {
+                edges.push((n(a), n(b)));
+            }
+        }
+        (CommGraph::from_edges(size, &edges), ReuseGraph::from_edges(size, &edges))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// `truncate(len)` leaves exactly what placing the first `len`
+        /// entries into a fresh grid builds, on NR, RA and RC schedules of
+        /// random flow sets cut at every length, and gives every node whose
+        /// busy row changed a new generation.
+        #[test]
+        fn truncate_equals_a_fresh_replay_of_the_prefix(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (comm, reuse) = random_network(&mut rng);
+            let model = NetworkModel::from_reuse_graph(&reuse, rng.gen_range(1..5));
+            let flow_cfg = FlowSetConfig::new(
+                rng.gen_range(1..9),
+                PeriodRange::new(-2, 0).expect("valid range"),
+                if rng.gen_bool(0.5) { TrafficPattern::PeerToPeer } else { TrafficPattern::Centralized },
+            );
+            let flows = FlowSetGenerator::new(rng.gen())
+                .generate(&comm, &flow_cfg)
+                .expect("a connected network routes every flow");
+            let rho = rng.gen_range(1..4);
+            let schedulers: [Box<dyn Scheduler>; 3] = [
+                Box::new(NoReuse::new()),
+                Box::new(ReuseAggressively::new(rho)),
+                Box::new(ReuseConservatively::new(rho)),
+            ];
+            for full in schedulers.iter().filter_map(|s| s.schedule(&flows, &model).ok()) {
+                for len in 0..=full.entry_count() {
+                    let mut cut = full.clone();
+                    cut.truncate(len);
+                    let mut replay =
+                        Schedule::new(full.horizon(), full.channel_count(), full.node_count());
+                    for e in &full.entries()[..len] {
+                        replay.place(e.slot, e.offset, e.tx);
+                    }
+                    // entries, cells and both busy bitsets, as serialized
+                    prop_assert_eq!(cut.to_value(), replay.to_value(), "seed {}, len {}", seed, len);
+                    prop_assert_eq!(&cut.cell_links, &replay.cell_links);
+                    prop_assert_eq!(&cut.occupied_offsets, &replay.occupied_offsets);
+                    for slot in 0..full.horizon() {
+                        prop_assert_eq!(cut.slot_is_full(slot), replay.slot_is_full(slot));
+                        for offset in 0..full.channel_count() {
+                            prop_assert_eq!(cut.cell_len(slot, offset), replay.cell_len(slot, offset));
+                        }
+                    }
+                    for node in (0..full.node_count()).map(n) {
+                        if cut.busy_row(node) != full.busy_row(node) {
+                            prop_assert!(
+                                cut.node_generation(node) != full.node_generation(node),
+                                "seed {}, len {}: node {} keeps its generation", seed, len, node
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -50,14 +50,12 @@ pub struct ChurnRecord {
     pub retired: usize,
     /// Operations rejected (infeasible, retired route, unroutable, …).
     pub rejected: usize,
-    /// Flows shed by the feasibility/recovery ladders.
+    /// Flows evicted by link retirements or shed by the feasibility ladder.
     pub evicted: usize,
     /// Delta operations that re-placed only a priority suffix.
     pub suffix_paths: usize,
     /// Delta operations that fell back to a full recompute.
     pub full_paths: usize,
-    /// Operations resolved by the recovery ladder.
-    pub recovery_paths: usize,
     /// Operations that left the schedule untouched.
     pub unchanged_paths: usize,
     /// Post-operation states whose schedule differed from a fresh
@@ -98,7 +96,6 @@ pub fn episode(cfg: &ChurnConfig) -> ChurnRecord {
         evicted: 0,
         suffix_paths: 0,
         full_paths: 0,
-        recovery_paths: 0,
         unchanged_paths: 0,
         oracle_mismatches: 0,
         final_flows: 0,
@@ -184,7 +181,6 @@ pub fn episode(cfg: &ChurnConfig) -> ChurnRecord {
             match report.path {
                 DeltaPath::Suffix { .. } => rec.suffix_paths += 1,
                 DeltaPath::Full => rec.full_paths += 1,
-                DeltaPath::Recovery => rec.recovery_paths += 1,
                 DeltaPath::Unchanged => rec.unchanged_paths += 1,
             }
         }
