@@ -119,17 +119,18 @@ fn main() -> ExitCode {
         // source index, re-placing about half the set. Every such
         // admission re-places only its suffix, however early in the
         // timeline that suffix's placements start.
-        for &(name, preload, admissions, preload_deadline, admit_deadline, rising) in &[
-            ("tail-20", 20usize, 10usize, 96u32, 128u32, true),
-            ("tail-40", 40, 10, 96, 128, true),
-            ("tail-80", 80, 10, 96, 128, true),
-            ("mid-40", 40, 10, 112, 112, false),
-            ("mixed-80", 80, 10, 128, 128, false),
+        for &(name, preload, admissions, preload_deadline, admit_deadline) in &[
+            ("tail-20", 20usize, 10usize, 96u32, 128u32),
+            ("tail-40", 40, 10, 96, 128),
+            ("tail-80", 80, 10, 96, 128),
+            ("mid-40", 40, 10, 112, 112),
+            ("mixed-80", 80, 10, 128, 128),
         ] {
             let mut specs = make_specs(&comm, preload, preload_deadline);
             specs
                 .extend(make_specs(&comm, preload + admissions, admit_deadline).split_off(preload));
-            if rising {
+            let tail = admit_deadline > preload_deadline;
+            if tail {
                 for (spec, deadline) in
                     specs[preload..].iter_mut().rev().zip((0..=admit_deadline).rev())
                 {
@@ -160,7 +161,7 @@ fn main() -> ExitCode {
                     let Ok(admission) = outcome else {
                         continue; // infeasible newcomer: not an admission
                     };
-                    if rising && admission.path != (DeltaPath::Suffix { from: gw.len() - 1 }) {
+                    if tail && admission.path != (DeltaPath::Suffix { from: gw.len() - 1 }) {
                         return Err(BenchError::Run(format!(
                             "scenario {name}: admission a{j} took path {}, not a tail append",
                             admission.path

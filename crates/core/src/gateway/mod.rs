@@ -31,11 +31,11 @@
 //!
 //! **Feasibility ladder.** When the delta run reports the set unschedulable,
 //! flows are shed in *inverse Deadline-Monotonic order* (longest relative
-//! deadline first), exactly like [`crate::recovery::recover`]: the
-//! least-urgent flows are sacrificed, and if the newcomer is itself the
-//! least urgent it is the one rejected — the operation then fails without
-//! touching state. Every operation is atomic: on any error the previous
-//! schedule keeps serving.
+//! deadline first), exactly like the supervised [`crate::recovery`]
+//! ladder: the least-urgent flows are sacrificed, and if the newcomer is
+//! itself the least urgent it is the one rejected — the operation then
+//! fails without touching state. Every operation is atomic: on any error
+//! the previous schedule keeps serving.
 //!
 //! Every accepted delta result, in every build, is re-checked by the
 //! independent [`validate`] checker, which also confirms the flow-grouped
@@ -489,11 +489,8 @@ impl GatewayState {
     /// buffer (`clone_from` reuses its cell allocations) and cut back to
     /// its first entry of flow `from`. Entries are grouped by flow in
     /// priority order, which [`GatewayState::check_result`] confirms for
-    /// every schedule served. A new horizon has no prefix.
-    fn prefix_schedule(&mut self, horizon: u32, from: usize) -> Schedule {
-        if horizon != self.schedule.horizon() {
-            return Schedule::new(horizon, self.model.channels(), self.model.node_count());
-        }
+    /// every schedule served.
+    fn prefix_schedule(&mut self, from: usize) -> Schedule {
         let mut prefix = match self.scratch.take() {
             Some(mut buffer) => {
                 buffer.clone_from(&self.schedule);
@@ -537,8 +534,12 @@ impl GatewayState {
                     name: adding.unwrap_or("<reschedule budget exhausted>").to_string(),
                 });
             }
+            // a new hyperperiod re-places everything, from an empty grid
             let from = if horizon == old_horizon { changed_from.min(candidate.len()) } else { 0 };
-            let base = self.prefix_schedule(horizon, from);
+            let base = match from {
+                0 => Schedule::new(horizon, self.model.channels(), self.model.node_count()),
+                _ => self.prefix_schedule(from),
+            };
             reschedules += 1;
             match self.scheduler.schedule_onto(&set, &self.model, &self.sched_config, base, from) {
                 Ok(schedule) => {

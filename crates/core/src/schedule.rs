@@ -325,9 +325,9 @@ impl Schedule {
     }
 
     /// Per-node change counter: advances whenever `node`'s busy row gains
-    /// or loses a slot. Rank caches over pairs of busy rows compare these to rebuild
-    /// lazily — a placement only invalidates rows of the two nodes it
-    /// touches.
+    /// or loses a slot. Rank caches over pairs of busy rows compare these
+    /// to rebuild lazily — a placement only invalidates rows of the two
+    /// nodes it touches.
     pub(crate) fn node_generation(&self, node: NodeId) -> u32 {
         self.node_gen[node.index()]
     }

@@ -10,7 +10,7 @@ use wsan::core::gateway::service::GatewayService;
 use wsan::core::gateway::{FlowSpec, GatewayConfig, GatewayState};
 use wsan::core::{export, NetworkModel, ReuseConservatively, Scheduler};
 use wsan::flow::Period;
-use wsan::net::{CommGraph, NodeId, ReuseGraph, Route};
+use wsan::net::{CommGraph, DirectedLink, NodeId, ReuseGraph, Route};
 
 /// A small line network: reuse graph and matching communication graph over
 /// the path `0 — 1 — … — n-1`.
@@ -39,20 +39,22 @@ fn line_route(a: usize, b: usize) -> Route {
 }
 
 /// One random churn operation, decoded from raw draws: `kind` 0-3 admits,
-/// 4-5 removes, 6-7 re-rates.
+/// 4-5 removes, 6-7 re-rates, 8 retires the link `a — a+1`.
 #[derive(Debug, Clone)]
 enum Op {
     Add { a: usize, b: usize, period_exp: u32, dfrac: u8 },
     Remove { pick: usize },
     Update { pick: usize, period_exp: u32, dfrac: u8 },
+    Retire { a: usize },
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
-    (0u8..8, 0usize..6, 0usize..6, 0u32..3, 0u8..=254).prop_map(
+    (0u8..9, 0usize..6, 0usize..6, 0u32..3, 0u8..=254).prop_map(
         |(kind, a, b, period_exp, dfrac)| match kind {
             0..=3 => Op::Add { a, b, period_exp, dfrac },
             4 | 5 => Op::Remove { pick: a * 7 + b },
-            _ => Op::Update { pick: a * 7 + b, period_exp, dfrac },
+            6 | 7 => Op::Update { pick: a * 7 + b, period_exp, dfrac },
+            _ => Op::Retire { a: a.min(4) },
         },
     )
 }
@@ -103,6 +105,11 @@ proptest! {
                         let (period, deadline) = timing(period_exp, dfrac, hops);
                         let _ = gw.update_rate(&name, period, deadline);
                     }
+                }
+                Op::Retire { a } => {
+                    let (x, y) = (NodeId::new(a), NodeId::new(a + 1));
+                    gw.retire_links(&[DirectedLink::new(x, y), DirectedLink::new(y, x)])
+                        .expect("a retire within the reschedule budget succeeds");
                 }
             }
             let fresh = oracle
